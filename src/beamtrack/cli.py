@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .arraymodel import build_codebook, build_grid, build_markov
 from .harness import ExperimentConfig, run_experiment, sweep
-from .optimizer import optimize_beams, select_directional_pair
+from .optimizer import directional_mode, optimize_beams, select_directional_pair
 from .tracking import Belief
 
 SUMMARY_COLUMNS = (
@@ -168,15 +168,18 @@ def cmd_optimize(args) -> int:
     started = time.time()
     config = load_config(args.config)
     snr_db = config.snr_db if not isinstance(config.snr_db, (list, tuple)) else config.snr_db[0]
-    snr = 10.0 ** (float(snr_db) / 10.0)
-    prior = parse_prior_spec(args.prior, config)
-
-    grid = build_grid(config.n_grid)
-    codebook = build_codebook(grid, config.n_tx)
-    result = optimize_beams(prior, codebook, snr, config.m_beams, config.psa)
-    indices, directional_score = select_directional_pair(
-        prior, codebook, snr, config.m_beams
-    )
+    try:
+        snr = 10.0 ** (float(snr_db) / 10.0)
+        prior = parse_prior_spec(args.prior, config)
+        grid = build_grid(config.n_grid)
+        codebook = build_codebook(grid, config.n_tx)
+        result = optimize_beams(prior, codebook, snr, config.m_beams, config.psa)
+        mode = directional_mode(config.n_grid, config.m_beams)
+        indices, directional_score = select_directional_pair(
+            prior, codebook, snr, config.m_beams, mode
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     payload = {
         "n_tx": config.n_tx,
@@ -191,6 +194,7 @@ def cmd_optimize(args) -> int:
         "directional_baseline": {
             "codeword_indices": list(indices),
             "gamma_ub": directional_score,
+            "mode": mode,
         },
     }
     _write_text(Path(args.out), json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 POLICIES = ("psa_optimized", "directional_tep", "beam_cycling")
+INT_FIELDS = ("n_tx", "n_grid", "m_beams", "sigma", "p_ttis", "n_frames", "seed")
 
 TRIAL_DTYPE = np.dtype(
     [
@@ -94,6 +95,12 @@ class ExperimentConfig:
     design_prior: str = "estimate"
 
     def __post_init__(self):
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.psa, PsaConfig):
+            raise ValueError(f"psa must be an object of swarm settings, got {self.psa!r}")
         for pol in self.policies:
             if pol not in POLICIES:
                 raise ValueError(f"unknown policy {pol!r}")

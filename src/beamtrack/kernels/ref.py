@@ -30,34 +30,13 @@ ZERO_EIG_RTOL = 1e-10
 RANK_DEFICIENT_RTOL = 1e-12
 
 
-def pair_eigenvalues_scalar(q_k: float, q_n: float, g2: float, snr: float):
-    """Extreme eigenvalues of the whitened difference form for one pair."""
-    inv = 1.0 / snr
-    a = snr * snr / (1.0 + snr * q_k)
-    b = snr * snr / (1.0 + snr * q_n)
-    uu = q_k * (q_k + inv)
-    uv2 = (q_k + inv) ** 2 * g2
-    vv = g2 + q_n * inv
-    pos = a * uu
-    neg = b * vv
-    cross = uu * vv - uv2  # >= 0 by Cauchy-Schwarz
-    if cross <= RANK_DEFICIENT_RTOL * uu * vv:
-        # aligned directions: at most one nonzero eigenvalue, equal to the trace
-        trace = pos - neg
-        if abs(trace) <= ZERO_EIG_RTOL * max(1.0, pos, neg):
-            return 0.0, 0.0
-        return (trace, 0.0) if trace > 0 else (0.0, trace)
-    trace = pos - neg
-    det = -a * b * cross
-    root = np.sqrt(trace * trace - 4.0 * det)
-    return 0.5 * (trace + root), 0.5 * (trace - root)
-
-
 def mu_cases(lam1: np.ndarray, lam2: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Closed-form P(lam1*E1 + lam2*E2 <= delta), E_i iid unit exponentials.
 
     Vectorized four-way dispatch on the signs of (lam1, lam2); lam1 >= 0 and
-    lam2 <= 0 are assumed.  delta may be +-inf.
+    lam2 <= 0 are assumed.  delta may be +-inf.  Every case needs at most
+    exp(-delta/L) with L = lam2 for delta <= 0 and L = lam1 otherwise, so one
+    exp serves them all.
     """
     lam1 = np.asarray(lam1, dtype=float)
     lam2 = np.asarray(lam2, dtype=float)
@@ -66,20 +45,19 @@ def mu_cases(lam1: np.ndarray, lam2: np.ndarray, delta: np.ndarray) -> np.ndarra
     pos1 = lam1 > tol
     neg2 = lam2 < -tol
 
-    mu = np.empty(np.broadcast(lam1, lam2, delta).shape, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # both nonzero
-        m_lo = np.where(lam2 < 0, (lam2 / (lam2 - lam1)) * np.exp(-delta / lam2), 0.0)
-        m_hi = 1.0 - np.where(
-            lam1 > 0, (lam1 / (lam1 - lam2)) * np.exp(-delta / lam1), 0.0
-        )
-        case1 = np.where(delta <= 0, m_lo, m_hi)
-        # lam1 > 0 only
-        case2 = np.where(delta > 0, 1.0 - np.where(lam1 > 0, np.exp(-delta / lam1), 0.0), 0.0)
-        # lam2 < 0 only
-        case3 = np.where(delta < 0, np.where(lam2 < 0, np.exp(-delta / lam2), 1.0), 1.0)
-        # both zero: the form is identically 0, so P(0 <= delta)
-        case4 = np.where(delta < 0, 0.0, 1.0)
+        low = delta <= 0
+        scale = np.where(low, lam2, lam1)
+        tail = np.exp(-delta / scale)
+        # both nonzero: t = L/(lam2 - lam1) * tail, mu = t below 0, 1 + t above
+        t = scale / (lam2 - lam1) * tail
+        case1 = np.where(low, t, 1.0 + t)
+    # lam1 > 0 only
+    case2 = np.where(delta > 0, 1.0 - tail, 0.0)
+    # lam2 < 0 only
+    case3 = np.where(delta < 0, tail, 1.0)
+    # both zero: the form is identically 0, so P(0 <= delta)
+    case4 = np.where(delta < 0, 0.0, 1.0)
 
     mu = np.where(
         pos1 & neg2, case1, np.where(pos1, case2, np.where(neg2, case3, case4))
@@ -93,29 +71,30 @@ def pair_terms(
     """Per-pair (lam1, lam2, delta, mu) matrices for all hypothesis pairs.
 
     Row index is the true hypothesis, column index the competitor.  Entries
-    on the diagonal and in rows with zero prior are set to mu = 0.
+    on the diagonal and in columns with zero prior are set to mu = 0.
+    Broadcasts over leading batch axes: ``prior`` (..., N), ``gram_abs2``
+    (..., N, N) and ``norms_sq`` (..., N) give (..., N, N) results.
     """
     prior = np.asarray(prior, dtype=float)
     q = np.asarray(norms_sq, dtype=float)
-    n = prior.shape[0]
     inv = 1.0 / snr
 
-    a = snr * snr / (1.0 + snr * q)  # (N,)
+    a = snr * snr / (1.0 + snr * q)  # (..., N)
     uu = q * (q + inv)
-    uv2 = (q + inv)[:, None] ** 2 * gram_abs2
-    vv = gram_abs2 + (q * inv)[None, :]
+    uv2 = (q + inv)[..., :, None] ** 2 * gram_abs2
+    vv = gram_abs2 + (q * inv)[..., None, :]
 
-    pos = (a * uu)[:, None] * np.ones_like(vv)
-    neg = a[None, :] * vv
-    cross = uu[:, None] * vv - uv2
+    pos = (a * uu)[..., :, None] * np.ones_like(vv)
+    neg = a[..., None, :] * vv
+    cross = uu[..., :, None] * vv - uv2
     trace = pos - neg
-    det = -(a[:, None] * a[None, :]) * np.maximum(cross, 0.0)
+    det = -(a[..., :, None] * a[..., None, :]) * np.maximum(cross, 0.0)
     root = np.sqrt(trace * trace - 4.0 * det)
     lam1 = 0.5 * (trace + root)
     lam2 = 0.5 * (trace - root)
     # Rank-deficient pairs (aligned directions): the quadratic would turn
     # cancellation noise in cross into spurious sqrt-amplified eigenvalues.
-    aligned = cross <= RANK_DEFICIENT_RTOL * uu[:, None] * vv
+    aligned = cross <= RANK_DEFICIENT_RTOL * uu[..., :, None] * vv
     if aligned.any():
         both_zero = aligned & (np.abs(trace) <= ZERO_EIG_RTOL * np.maximum(1.0, np.maximum(pos, neg)))
         lam1 = np.where(aligned, np.maximum(trace, 0.0), lam1)
@@ -126,14 +105,29 @@ def pair_terms(
     with np.errstate(divide="ignore", invalid="ignore"):
         log_prior = np.log(prior)
         logdet = np.log1p(snr * q)  # log|Sigma| up to the common -M*log(snr) term
-        delta = (log_prior[None, :] - log_prior[:, None]) + (
-            logdet[:, None] - logdet[None, :]
+        delta = (log_prior[..., None, :] - log_prior[..., :, None]) + (
+            logdet[..., :, None] - logdet[..., None, :]
         )
 
     mu = mu_cases(lam1, lam2, delta)
-    mu[prior[None, :].repeat(n, axis=0) == 0.0] = 0.0
-    np.fill_diagonal(mu, 0.0)
+    n = mu.shape[-1]
+    mu[..., np.arange(n), np.arange(n)] = 0.0
+    mu = np.where(prior[..., None, :] == 0.0, 0.0, mu)
     return lam1, lam2, delta, mu
+
+
+def gamma_ub_batch(
+    prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
+) -> np.ndarray:
+    """Union bounds of a batch of sensing matrices against one prior.
+
+    ``prior`` is (S,), normally restricted to its support; ``gram_abs2`` is
+    (B, S, S) and ``norms_sq`` (B, S), the Gram data of B sensing matrices on
+    the same S columns.  Returns the (B,) unclamped bounds.
+    """
+    prior = np.asarray(prior, dtype=float)
+    mu = pair_terms(prior, gram_abs2, norms_sq, snr)[3]
+    return mu.sum(axis=-1) @ prior
 
 
 def gamma_ub(

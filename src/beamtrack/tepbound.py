@@ -68,11 +68,11 @@ def pair_eigenvalues(
     s_n = np.asarray(s_n)
     if s_kappa.shape != s_n.shape:
         raise ValueError("pair vectors must have identical shape")
-    q_k = float(np.vdot(s_kappa, s_kappa).real)
-    q_n = float(np.vdot(s_n, s_n).real)
-    g2 = float(np.abs(np.vdot(s_kappa, s_n)) ** 2)
-    lam1, lam2 = kernels.pair_eigenvalues_scalar(q_k, q_n, g2, snr)
-    return float(lam1), float(lam2)
+    pair = np.stack([s_kappa.ravel(), s_n.ravel()], axis=1)
+    norms_sq = np.sum(np.abs(pair) ** 2, axis=0)
+    gram_abs2 = np.abs(pair.conj().T @ pair) ** 2
+    lam1, lam2, _, _ = kernels.pair_terms(np.full(2, 0.5), gram_abs2, norms_sq, snr)
+    return float(lam1[0, 1]), float(lam2[0, 1])
 
 
 def mu_pair(lambda1: float, lambda2: float, delta: float) -> float:

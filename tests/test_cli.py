@@ -129,6 +129,15 @@ class TestSimulate:
         cfg = _write_config(tmp_path, {"beta": [0.1, 0.2]})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"psa": 3}, {"psa": [8]}, {"n_frames": 2.5}, {"sigma": "2"}, {"seed": True}],
+    )
+    def test_exit_2_on_wrong_type(self, tmp_path, capsys, overrides):
+        cfg = _write_config(tmp_path, overrides)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_exit_3_on_unwritable_out(self, tmp_path):
         cfg = _write_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -191,6 +200,7 @@ class TestOptimizeCommand:
         assert 0 <= payload["gamma_ub_clamped"] <= 1
         baseline = payload["directional_baseline"]
         assert len(baseline["codeword_indices"]) == 2
+        assert baseline["mode"] == "exhaustive"
         # optimizer never loses to its directional seed
         assert payload["gamma_ub"] <= baseline["gamma_ub"] + 1e-12
         # the stored phases reproduce the reported score
@@ -199,6 +209,34 @@ class TestOptimizeCommand:
         prior = parse_prior_spec("propagated:0", config)
         score = beam_objective(BeamMatrix(phases=phases), cb, prior, 10.0)
         assert score == pytest.approx(payload["gamma_ub"], rel=1e-12)
+
+    def test_greedy_baseline_beyond_budget(self, tmp_path):
+        # comb(64, 5) exceeds the exhaustive budget for the directional
+        # baseline and the swarm's seed; both fall back to the greedy search
+        cfg = _write_config(
+            tmp_path,
+            {"n_grid": 64, "m_beams": 5, "psa": {"swarm_size": 2, "max_iters": 1}},
+        )
+        out = tmp_path / "beams.json"
+        code = main(
+            ["optimize", "--config", cfg, "--prior", "propagated:0", "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["directional_baseline"]["mode"] == "greedy"
+        assert len(payload["directional_baseline"]["codeword_indices"]) == 5
+        assert np.isfinite(payload["gamma_ub"])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"sigma": 40}, {"n_tx": 0}, {"m_beams": 0}, {"snr_db": "x"}],
+    )
+    def test_exit_2_on_invalid_value(self, tmp_path, capsys, overrides):
+        cfg = _write_config(tmp_path, overrides)
+        out = str(tmp_path / "x.json")
+        code = main(["optimize", "--config", cfg, "--prior", "propagated:0", "--out", out])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         cfg = _write_config(tmp_path)

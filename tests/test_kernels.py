@@ -86,3 +86,64 @@ class TestKernelAgreement:
         vec = kernels.mu_cases(lam1, lam2, delta)
         for i in range(200):
             assert vec[i] == pytest.approx(mu_pair(lam1[i], lam2[i], delta[i]), abs=1e-14)
+
+
+class TestGammaUbBatch:
+    SNRS = [1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6]
+
+    def _batch(self, rng, m, n, b=4):
+        """Random Gram data of b sensing matrices; item 0 repeats a row, so
+        all of its column pairs are aligned (the rank-deficient branch)."""
+        s = rng.standard_normal((b, m, n)) + 1j * rng.standard_normal((b, m, n))
+        s[0, 1] = s[0, 0]
+        norms_sq = np.sum(np.abs(s) ** 2, axis=-2)
+        gram_abs2 = np.abs(np.swapaxes(s.conj(), -1, -2) @ s) ** 2
+        return s, norms_sq, gram_abs2
+
+    @pytest.mark.parametrize("snr", SNRS)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_per_item(self, m, snr):
+        rng = np.random.default_rng(m)
+        _, norms_sq, gram_abs2 = self._batch(rng, m, 12)
+        prior = rng.random(12)
+        prior /= prior.sum()
+        got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+        assert got.shape == (4,)
+        for b in range(4):
+            want = ref.gamma_ub(prior, gram_abs2[b], norms_sq[b], snr)
+            assert got[b] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("snr", SNRS)
+    def test_prior_with_zero_entries(self, snr):
+        # zeros kept in the batch or cut away by restricting to the support
+        # give the per-item bound on the full prior
+        rng = np.random.default_rng(3)
+        _, norms_sq, gram_abs2 = self._batch(rng, 2, 10)
+        prior = rng.random(10)
+        prior[[0, 4, 5]] = 0.0
+        prior[7] = 1e-300
+        prior /= prior.sum()
+        idx = np.flatnonzero(prior)
+        full = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+        restricted = ref.gamma_ub_batch(
+            prior[idx], gram_abs2[:, idx][:, :, idx], norms_sq[:, idx], snr
+        )
+        for b in range(4):
+            want = ref.gamma_ub(prior, gram_abs2[b], norms_sq[b], snr)
+            assert full[b] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert restricted[b] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("snr", SNRS)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_dense_oracle(self, m, snr):
+        # The closed form's Cauchy-Schwarz gap cancels like snr * eps, so the
+        # tolerance grows with the SNR (measured: 3e-14 at 10, 3e-8 at 1e6).
+        rng = np.random.default_rng(10 + m)
+        s, norms_sq, gram_abs2 = self._batch(rng, m, 6)
+        prior = rng.random(6)
+        prior[2] = 0.0
+        prior /= prior.sum()
+        got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+        for b in range(4):
+            expected = _loop_gamma_ub(s[b], prior, snr)
+            assert got[b] == pytest.approx(expected, rel=1e-12 * max(1.0, snr))

@@ -1,15 +1,18 @@
 """Particle-swarm beam design and directional baseline tests."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
+from beamtrack import optimizer
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.optimizer import (
     BeamScheduler,
     PsaConfig,
     beam_objective,
+    directional_mode,
     optimize_beams,
     select_directional_pair,
     steering_phases,
@@ -40,6 +43,9 @@ class TestPsaConfig:
             {"inertia": 1.5},
             {"cognitive_coeff": -1.0},
             {"velocity_clamp": 0.0},
+            {"swarm_size": 2.5},
+            {"max_iters": True},
+            {"seed": "1"},
         ],
     )
     def test_invalid(self, kwargs):
@@ -114,6 +120,16 @@ class TestOptimizeBeams:
         out = optimize_beams(_concentrated_prior(8, 0), cb, 10.0, 2, cfg)
         assert out.evaluations == 5 * (7 + 1)
 
+    def test_greedy_seed_beyond_budget(self):
+        # comb(64, 5) exceeds the exhaustive budget; the directional seed
+        # comes from the greedy search instead of raising
+        cb = build_codebook(build_grid(64), 8)
+        prior = Belief(build_markov(64, 0.2, 5).transition[0])
+        cfg = PsaConfig(swarm_size=2, max_iters=1)
+        out = optimize_beams(prior, cb, 10.0, 5, cfg)
+        assert np.isfinite(out.score)
+        assert out.beams.phases.shape == (8, 5)
+
     def test_invalid_m_beams(self):
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
@@ -122,23 +138,41 @@ class TestOptimizeBeams:
 
 
 class TestDirectionalPair:
-    def test_matches_brute_force(self):
-        grid = build_grid(6)
+    @pytest.mark.parametrize(
+        "n,m,batch_pairs",
+        [
+            (6, 2, None),
+            (16, 3, None),
+            # 56 subsets scored 5 at a time, over 12 batches
+            (8, 3, 5 * 8 * 8),
+        ],
+    )
+    def test_matches_brute_force(self, n, m, batch_pairs, monkeypatch):
+        if batch_pairs is not None:
+            monkeypatch.setattr(optimizer, "BATCH_PAIRS", batch_pairs)
+        grid = build_grid(n)
         cb = build_codebook(grid, 4)
         rng = np.random.default_rng(7)
-        probs = rng.random(6)
+        probs = rng.random(n)
         probs /= probs.sum()
         prior = Belief(probs)
         snr = 12.0
         best, best_score = None, np.inf
-        for subset in combinations(range(6), 2):
+        for subset in combinations(range(n), m):
             beams = BeamMatrix(phases=steering_phases(cb, subset))
             score = tep_upper_bound(prior, sensing_matrix(beams, cb), snr).gamma_ub
             if score < best_score:
                 best, best_score = subset, score
-        got, got_score = select_directional_pair(prior, cb, snr, 2)
+        got, got_score = select_directional_pair(prior, cb, snr, m)
         assert got == best
         assert got_score == pytest.approx(best_score, rel=1e-10)
+        if n > 6:
+            # more subsets than one batch holds
+            assert comb(n, m) > optimizer.BATCH_PAIRS // (n * n)
+
+    def test_mode_by_budget(self):
+        assert directional_mode(64, 4) == "exhaustive"
+        assert directional_mode(64, 5) == "greedy"
 
     def test_greedy_mode_runs(self):
         grid = build_grid(8)
