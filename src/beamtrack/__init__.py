@@ -8,13 +8,11 @@ design of unit-modulus training beam sequences that minimize that bound.
 from . import kernels
 from .arraymodel import (
     AngleGrid,
-    ChannelState,
     Codebook,
     MarkovModel,
     build_codebook,
     build_grid,
     build_markov,
-    evolve_state,
     physical_to_normalized,
     steering_vector,
 )
@@ -37,8 +35,6 @@ from .tracking import (
     posterior,
     propagate_prior,
     sensing_matrix,
-    simulate_observation,
-    track_frame,
 )
 
 __version__ = "0.1.0"

@@ -17,15 +17,12 @@ __all__ = [
     "AngleGrid",
     "Codebook",
     "MarkovModel",
-    "ChannelState",
     "steering_vector",
     "build_grid",
     "build_codebook",
     "physical_to_normalized",
     "build_markov",
     "circular_index_distance",
-    "evolve_state",
-    "draw_gain",
 ]
 
 
@@ -153,26 +150,3 @@ def build_markov(
         weights = np.where(dist <= sigma, float(beta) ** dist, 0.0)
     transition = weights / weights.sum(axis=1, keepdims=True)
     return MarkovModel(beta=beta, sigma=sigma, transition=transition, edge_mode=edge_mode)
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    """One path: grid index of the departure angle plus its complex gain."""
-
-    grid_index: int
-    gain: complex
-
-
-def draw_gain(rng: np.random.Generator) -> complex:
-    """Standard circularly-symmetric complex Gaussian gain, CN(0, 1)."""
-    re, im = rng.standard_normal(2)
-    return complex(re, im) / np.sqrt(2.0)
-
-
-def evolve_state(
-    state: ChannelState, model: MarkovModel, rng: np.random.Generator
-) -> ChannelState:
-    """One Markov step of the grid index plus a fresh independent gain."""
-    row = model.transition[state.grid_index]
-    new_index = int(rng.choice(model.n_points, p=row))
-    return ChannelState(grid_index=new_index, gain=draw_gain(rng))

@@ -28,6 +28,10 @@ ZERO_EIG_RTOL = 1e-10
 # Cancellation noise in the gap would otherwise be sqrt-amplified into a
 # spurious nonzero eigenvalue pair.
 RANK_DEFICIENT_RTOL = 1e-12
+# Hypothesis pairs (rows x support x support) per prior-dependent step of
+# gamma_ub_rows.  The step holds about twenty temporaries of this many
+# doubles, so this caps them near 1.3 MB whatever the block size.
+ROW_PAIRS = 1 << 13
 
 
 def mu_cases(lam1: np.ndarray, lam2: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -65,17 +69,9 @@ def mu_cases(lam1: np.ndarray, lam2: np.ndarray, delta: np.ndarray) -> np.ndarra
     return np.clip(mu, 0.0, 1.0)
 
 
-def pair_terms(
-    prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
-):
-    """Per-pair (lam1, lam2, delta, mu) matrices for all hypothesis pairs.
-
-    Row index is the true hypothesis, column index the competitor.  Entries
-    on the diagonal and in columns with zero prior are set to mu = 0.
-    Broadcasts over leading batch axes: ``prior`` (..., N), ``gram_abs2``
-    (..., N, N) and ``norms_sq`` (..., N) give (..., N, N) results.
-    """
-    prior = np.asarray(prior, dtype=float)
+def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
+    """(lam1, lam2) matrices of all hypothesis pairs; they do not depend on
+    the prior.  Broadcasts over leading batch axes like :func:`pair_terms`."""
     q = np.asarray(norms_sq, dtype=float)
     inv = 1.0 / snr
 
@@ -101,18 +97,43 @@ def pair_terms(
         lam2 = np.where(aligned, np.minimum(trace, 0.0), lam2)
         lam1 = np.where(both_zero, 0.0, lam1)
         lam2 = np.where(both_zero, 0.0, lam2)
+    return lam1, lam2
 
+
+def _pair_mu(prior, lam1, lam2, norms_sq, snr):
+    """(delta, mu) of all hypothesis pairs from the pair eigenvalues."""
+    prior = np.asarray(prior, dtype=float)
+    q = np.asarray(norms_sq, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_prior = np.log(prior)
         logdet = np.log1p(snr * q)  # log|Sigma| up to the common -M*log(snr) term
-        delta = (log_prior[..., None, :] - log_prior[..., :, None]) + (
-            logdet[..., :, None] - logdet[..., None, :]
+        # C order keeps the pair axes innermost for every later elementwise
+        # pass; broadcasting alone can put the prior-row axis there.
+        delta = np.add(
+            log_prior[..., None, :] - log_prior[..., :, None],
+            logdet[..., :, None] - logdet[..., None, :],
+            order="C",
         )
 
     mu = mu_cases(lam1, lam2, delta)
     n = mu.shape[-1]
     mu[..., np.arange(n), np.arange(n)] = 0.0
     mu = np.where(prior[..., None, :] == 0.0, 0.0, mu)
+    return delta, mu
+
+
+def pair_terms(
+    prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
+):
+    """Per-pair (lam1, lam2, delta, mu) matrices for all hypothesis pairs.
+
+    Row index is the true hypothesis, column index the competitor.  Entries
+    on the diagonal and in columns with zero prior are set to mu = 0.
+    Broadcasts over leading batch axes: ``prior`` (..., N), ``gram_abs2``
+    (..., N, N) and ``norms_sq`` (..., N) give (..., N, N) results.
+    """
+    lam1, lam2 = pair_eigs(gram_abs2, norms_sq, snr)
+    delta, mu = _pair_mu(prior, lam1, lam2, norms_sq, snr)
     return lam1, lam2, delta, mu
 
 
@@ -146,3 +167,49 @@ def gamma_ub(
         prior[idx], gram_abs2[np.ix_(idx, idx)], norms_sq[idx], snr
     )[3]
     return float(prior[idx] @ sub.sum(axis=1))
+
+
+def _support_sums(prior: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sum_k p_k sum_n mu_kn of each row of a (G, S) prior block against its
+    (G, S, S) mu, taken on the row's own support in :func:`gamma_ub`'s order:
+    compacted row sums, then one dot product."""
+    support = prior > 0.0
+    sizes = support.sum(axis=1)
+    out = np.empty(len(prior))
+    # The gathers copy into C order, so each row sum and dot product runs
+    # over contiguous memory as on the scalar kernel's compacted copies;
+    # strided operands are reduced in another order and round differently.
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        if size == prior.shape[1]:
+            sub, probs = mu[rows], prior[rows]
+        else:
+            pos = np.nonzero(support[rows])[1].reshape(len(rows), size)
+            sub = mu[rows[:, None, None], pos[:, :, None], pos[:, None, :]]
+            probs = prior[rows[:, None], pos]
+        out[rows] = np.matmul(probs[:, None, :], sub.sum(axis=-1)[:, :, None])[:, 0, 0]
+    return out
+
+
+def gamma_ub_rows(
+    prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
+) -> np.ndarray:
+    """Union bounds of an (F, N) block of priors against one sensing matrix.
+
+    Each of the (F,) results equals :func:`gamma_ub` on that row bit for bit.
+    The pair eigenvalues are computed once, on the union of the rows'
+    supports; the prior-dependent part runs on at most ``ROW_PAIRS`` pairs
+    at a time.
+    """
+    prior = np.asarray(prior, dtype=float)
+    cols = np.flatnonzero((prior > 0.0).any(axis=0))
+    prior = prior[:, cols]
+    norms_sq = np.asarray(norms_sq, dtype=float)[cols]
+    lam1, lam2 = pair_eigs(gram_abs2[np.ix_(cols, cols)], norms_sq, snr)
+    out = np.empty(len(prior))
+    step = max(1, ROW_PAIRS // max(1, len(cols)) ** 2)
+    for lo in range(0, len(prior), step):
+        block = prior[lo : lo + step]
+        mu = _pair_mu(block, lam1, lam2, norms_sq, snr)[1]
+        out[lo : lo + step] = _support_sums(block, mu)
+    return out

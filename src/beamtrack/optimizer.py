@@ -146,8 +146,11 @@ def select_directional_pair(
 ) -> tuple[tuple[int, ...], float]:
     """Best size-``m_beams`` codeword subset under the union-bound score.
 
-    Exhaustive over all subsets by default; ties resolve to the
-    lexicographically smallest index set.  ``mode="greedy"`` adds one
+    Exhaustive over all subsets by default; among scores equal in floating
+    point the lexicographically smallest index set wins.  Subsets tied only
+    mathematically (circular shifts of one subset under a uniform prior)
+    score differently in their last bits, so rounding picks among them.
+    ``mode="greedy"`` adds one
     codeword at a time and is the fallback when the candidate count exceeds
     the exhaustive budget (see :func:`directional_mode`).
     """
@@ -322,8 +325,9 @@ class BeamScheduler:
     def _design(self, prior: Belief) -> DesignedBeams:
         self.design_count += 1
         if self.policy == "directional_tep":
+            mode = directional_mode(self.codebook.n_points, self.m_beams)
             indices, score = select_directional_pair(
-                prior, self.codebook, self.snr, self.m_beams
+                prior, self.codebook, self.snr, self.m_beams, mode
             )
             beams = BeamMatrix(phases=steering_phases(self.codebook, indices))
             return DesignedBeams(

@@ -4,17 +4,20 @@ One tracking period: propagate the previous posterior through the Markov
 chain, transmit M training beams, and update the belief from the received
 pilot vector.  All likelihood algebra uses the rank-one covariance closed
 forms from :mod:`beamtrack.linalg` and runs in the log domain.
+
+Every step also takes a block of F frames at once: an (F, N) belief, (F, M)
+pilot vectors and an (F, M, N) sensing matrix, one row or slice per frame.
+Each frame's row is bitwise equal to what the single-frame call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .arraymodel import ChannelState, Codebook, MarkovModel, draw_gain, evolve_state
+from .arraymodel import Codebook, MarkovModel
 
 __all__ = [
     "DegenerateBeliefError",
@@ -23,13 +26,10 @@ __all__ = [
     "Belief",
     "PilotObservation",
     "sensing_matrix",
-    "simulate_observation",
     "propagate_prior",
     "log_likelihood_scores",
     "posterior",
     "map_estimate",
-    "TrackStep",
-    "track_frame",
 ]
 
 
@@ -70,25 +70,26 @@ class BeamMatrix:
 
 @dataclass(frozen=True)
 class SensingMatrix:
-    """M x N map from the grid indicator to the noiseless pilot vector."""
+    """M x N map from the grid indicator to the noiseless pilot vector, or an
+    (F, M, N) stack of them, one per frame."""
 
     matrix: np.ndarray
 
     @property
     def m_beams(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     @property
     def n_points(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     @cached_property
     def col_norms_sq(self) -> np.ndarray:
-        return np.sum(np.abs(self.matrix) ** 2, axis=0)
+        return np.sum(np.abs(self.matrix) ** 2, axis=-2)
 
     @cached_property
     def gram_abs2(self) -> np.ndarray:
-        gram = self.matrix.conj().T @ self.matrix
+        gram = np.swapaxes(self.matrix.conj(), -1, -2) @ self.matrix
         return np.abs(gram) ** 2
 
 
@@ -105,21 +106,24 @@ def sensing_matrix(beams: BeamMatrix, codebook: Codebook) -> SensingMatrix:
 
 @dataclass(frozen=True)
 class Belief:
-    """Probability vector over grid indices."""
+    """Probability vector over grid indices, or an (F, N) block of them with
+    one row per frame."""
 
     probs: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1:
-            raise ValueError("belief must be a vector")
-        if np.any(probs < 0) or not np.isfinite(probs).all():
+        if probs.ndim not in (1, 2):
+            raise ValueError("belief must be a vector or an (F, N) block of them")
+        if (probs < 0).any() or not np.isfinite(probs).all():
             raise ValueError("belief entries must be finite and nonnegative")
-        total = probs.sum()
-        if total <= 0:
+        total = probs.sum(axis=-1)
+        if (total <= 0).any():
             raise DegenerateBeliefError("belief has no mass")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"belief must sum to 1, got {total}")
+        off = abs(total - 1.0)
+        if (off > 1e-9).any():
+            worst = np.asarray(total).flat[off.argmax()]
+            raise ValueError(f"belief must sum to 1, got {worst}")
         object.__setattr__(self, "probs", probs)
 
     @classmethod
@@ -134,12 +138,13 @@ class Belief:
 
     @property
     def n_points(self) -> int:
-        return len(self.probs)
+        return self.probs.shape[-1]
 
 
 @dataclass(frozen=True)
 class PilotObservation:
-    """Received pilot vector and the linear training SNR it was taken at."""
+    """Received pilot vector, or (F, M) block of them, and the linear training
+    SNR they were taken at."""
 
     y: np.ndarray
     snr: float
@@ -153,43 +158,16 @@ class PilotObservation:
         object.__setattr__(self, "y", y)
 
 
-def simulate_observation(
-    state: ChannelState,
-    beams: BeamMatrix,
-    codebook: Codebook,
-    snr: float,
-    rng: np.random.Generator,
-    noiseless: bool = False,
-) -> PilotObservation:
-    """y = gain * s_kappa + noise, noise ~ CN(0, (1/snr) I)."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    sensing = sensing_matrix(beams, codebook)
-    return observe_with_sensing(state, sensing, snr, rng, noiseless=noiseless)
-
-
-def observe_with_sensing(
-    state: ChannelState,
-    sensing: SensingMatrix,
-    snr: float,
-    rng: np.random.Generator,
-    noiseless: bool = False,
-) -> PilotObservation:
-    m = sensing.m_beams
-    y = state.gain * sensing.matrix[:, state.grid_index]
-    if not noiseless:
-        re_im = rng.standard_normal(2 * m)
-        noise = (re_im[:m] + 1j * re_im[m:]) * np.sqrt(0.5 / snr)
-        y = y + noise
-    return PilotObservation(y=y, snr=snr)
-
-
 def propagate_prior(posterior_prev: Belief, model: MarkovModel) -> Belief:
-    """One Markov step of the belief: prior_k = sum_i P(k|i) * post_i."""
+    """One Markov step of the belief: prior_k = sum_i P(k|i) * post_i.
+
+    A block is propagated as a stack of 1 x N row-vector products, not one
+    (F, N) x (N, N) matrix product, so each row keeps the single-frame bits.
+    """
     if posterior_prev.n_points != model.n_points:
         raise ValueError("belief and model dimensions differ")
-    probs = posterior_prev.probs @ model.transition
-    return Belief(probs / probs.sum())
+    probs = np.matmul(posterior_prev.probs[..., None, :], model.transition)[..., 0, :]
+    return Belief(probs / probs.sum(axis=-1, keepdims=True))
 
 
 def log_likelihood_scores(obs: PilotObservation, sensing: SensingMatrix) -> np.ndarray:
@@ -199,12 +177,15 @@ def log_likelihood_scores(obs: PilotObservation, sensing: SensingMatrix) -> np.n
     Sherman-Morrison closed forms give
     -y^H Sigma_k^{-1} y - log|Sigma_k|
       = -snr*||y||^2 + snr^2 |s_k^H y|^2 / (1 + snr*q_k) - log(1 + snr*q_k)
-    up to the hypothesis-independent M*log(snr) term.
+    up to the hypothesis-independent M*log(snr) term.  A block of (F, M)
+    pilots against (F, M, N) sensing matrices gives (F, N) scores.
     """
     snr = obs.snr
+    y = obs.y
     q = sensing.col_norms_sq
-    corr_sq = np.abs(sensing.matrix.conj().T @ obs.y) ** 2
-    y_sq = float(np.vdot(obs.y, obs.y).real)
+    corr = np.matmul(np.swapaxes(sensing.matrix.conj(), -1, -2), y[..., None])
+    corr_sq = np.abs(corr[..., 0]) ** 2
+    y_sq = np.matmul(y.conj()[..., None, :], y[..., :, None])[..., 0].real
     one_plus = 1.0 + snr * q
     return -snr * y_sq + snr * snr * corr_sq / one_plus - np.log(one_plus)
 
@@ -214,83 +195,18 @@ def posterior(prior: Belief, obs: PilotObservation, sensing: SensingMatrix) -> B
     if prior.n_points != sensing.n_points:
         raise ValueError("belief and sensing dimensions differ")
     support = prior.probs > 0
-    if not support.any():
+    if not support.any(axis=-1).all():
         raise DegenerateBeliefError("prior has no support")
     scores = log_likelihood_scores(obs, sensing)
     with np.errstate(divide="ignore"):
         log_post = np.log(prior.probs) + scores
-    log_post -= log_post[support].max()
+    log_post -= np.where(support, log_post, -np.inf).max(axis=-1, keepdims=True)
     probs = np.exp(log_post)
     probs[~support] = 0.0
-    return Belief(probs / probs.sum())
+    return Belief(probs / probs.sum(axis=-1, keepdims=True))
 
 
-def map_estimate(belief: Belief) -> int:
-    """Argmax grid index; ties resolve to the lowest index."""
-    return int(np.argmax(belief.probs))
-
-
-@dataclass(frozen=True)
-class TrackStep:
-    tti: int
-    true_index: int
-    est_index: int
-    prior: Belief
-    posterior: Belief
-
-
-BeamProvider = Callable[[int, Belief, int], BeamMatrix]
-
-
-def track_frame(
-    model: MarkovModel,
-    codebook: Codebook,
-    beam_schedule: Sequence[BeamMatrix] | BeamProvider,
-    initial_index: int,
-    snr: float,
-    p_ttis: int,
-    rng: np.random.Generator,
-    noiseless: bool = False,
-    noise_rng_for_tti: Callable[[int], np.random.Generator] | None = None,
-) -> list[TrackStep]:
-    """Simulate one frame: known angle in the first period, tracking after.
-
-    ``beam_schedule`` is either one BeamMatrix per tracked period (periods
-    2..p_ttis) or a callable ``(tti, prior, prev_estimate) -> BeamMatrix``.
-    The estimate feedback to the transmitter is ideal and instantaneous.
-    """
-    if p_ttis < 2:
-        raise ValueError("p_ttis must be >= 2")
-    if not callable(beam_schedule):
-        schedule = list(beam_schedule)
-        if len(schedule) != p_ttis - 1:
-            raise ValueError(
-                f"schedule must provide {p_ttis - 1} beam matrices, got {len(schedule)}"
-            )
-        beam_schedule = lambda tti, prior, prev: schedule[tti - 2]
-
-    n = model.n_points
-    belief = Belief.point_mass(n, initial_index)
-    state = ChannelState(grid_index=initial_index, gain=draw_gain(rng))
-    prev_est = initial_index
-    steps: list[TrackStep] = []
-    for tti in range(2, p_ttis + 1):
-        state = evolve_state(state, model, rng)
-        prior = propagate_prior(belief, model)
-        beams = beam_schedule(tti, prior, prev_est)
-        sensing = sensing_matrix(beams, codebook)
-        noise_rng = noise_rng_for_tti(tti) if noise_rng_for_tti else rng
-        obs = observe_with_sensing(state, sensing, snr, noise_rng, noiseless=noiseless)
-        belief = posterior(prior, obs, sensing)
-        est = map_estimate(belief)
-        steps.append(
-            TrackStep(
-                tti=tti,
-                true_index=state.grid_index,
-                est_index=est,
-                prior=prior,
-                posterior=belief,
-            )
-        )
-        prev_est = est
-    return steps
+def map_estimate(belief: Belief) -> int | np.ndarray:
+    """Argmax grid index, per row for a block; ties resolve to the lowest index."""
+    est = np.argmax(belief.probs, axis=-1)
+    return int(est) if belief.probs.ndim == 1 else est

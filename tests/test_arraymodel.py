@@ -1,19 +1,30 @@
 """Grid, steering vector, codebook, and Markov dynamics tests."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from beamtrack.arraymodel import (
-    ChannelState,
     build_codebook,
     build_grid,
     build_markov,
     circular_index_distance,
-    draw_gain,
-    evolve_state,
     physical_to_normalized,
     steering_vector,
 )
+from beamtrack.harness import ExperimentConfig, _trajectory
+
+
+@lru_cache(maxsize=None)
+def _walks(n_grid, beta, sigma, p_ttis, n_frames, seed=0):
+    """Channel trajectories the harness draws: (initial index, index walk,
+    gains) per frame."""
+    config = ExperimentConfig(
+        n_grid=n_grid, beta=beta, sigma=sigma, p_ttis=p_ttis, n_frames=n_frames, seed=seed
+    )
+    model = build_markov(n_grid, beta, sigma)
+    return model, [_trajectory(config, model, frame) for frame in range(n_frames)]
 
 
 class TestSteeringVector:
@@ -148,46 +159,41 @@ class TestMarkov:
 
 
 class TestEvolve:
+    """The harness's channel draws: the index walk follows the Markov chain
+    and the per-period gains are CN(0, 1)."""
+
     def test_beta_zero_stationary(self):
-        model = build_markov(16, 0.0, 3)
-        rng = np.random.default_rng(0)
-        state = ChannelState(grid_index=5, gain=1.0)
-        for _ in range(50):
-            state = evolve_state(state, model, rng)
-            assert state.grid_index == 5
+        _, walks = _walks(16, 0.0, 3, p_ttis=50, n_frames=4)
+        for init, indices, _ in walks:
+            assert indices == [init] * 49
 
     def test_uniform_window_wraparound(self):
-        model = build_markov(8, 1.0, 1)
-        rng = np.random.default_rng(1)
+        _, walks = _walks(8, 1.0, 1, p_ttis=2, n_frames=6000)
         counts = np.zeros(8)
-        n = 6000
-        for _ in range(n):
-            counts[evolve_state(ChannelState(0, 1.0), model, rng).grid_index] += 1
-        freqs = counts / n
-        se = np.sqrt((1 / 3) * (2 / 3) / n)
-        for idx in (7, 0, 1):
-            assert abs(freqs[idx] - 1 / 3) < 3 * se
+        for init, indices, _ in walks:
+            counts[(indices[0] - init) % 8] += 1
+        freqs = counts / len(walks)
+        se = np.sqrt((1 / 3) * (2 / 3) / len(walks))
+        for hop in (7, 0, 1):
+            assert abs(freqs[hop] - 1 / 3) < 3 * se
         assert counts[[2, 3, 4, 5, 6]].sum() == 0
+        # the walk wraps around both grid edges
+        hops = {(init, indices[0]) for init, indices, _ in walks}
+        assert (0, 7) in hops and (7, 0) in hops
 
     def test_stays_within_window(self):
-        model = build_markov(32, 0.9, 4)
-        rng = np.random.default_rng(2)
-        state = ChannelState(grid_index=0, gain=1.0)
-        for _ in range(2000):
-            new = evolve_state(state, model, rng)
-            assert circular_index_distance(state.grid_index, new.grid_index, 32) <= 4
-            state = new
+        _, walks = _walks(32, 0.9, 4, p_ttis=200, n_frames=10)
+        for init, indices, _ in walks:
+            path = [init, *indices]
+            for a, b in zip(path[:-1], path[1:]):
+                assert circular_index_distance(a, b, 32) <= 4
 
     def test_empirical_transition_frequencies(self):
-        model = build_markov(8, 0.5, 2)
-        rng = np.random.default_rng(3)
-        n_steps = 100_000
+        model, walks = _walks(8, 0.5, 2, p_ttis=101, n_frames=1000)
         counts = np.zeros((8, 8))
-        state = ChannelState(grid_index=0, gain=1.0)
-        for _ in range(n_steps):
-            new = evolve_state(state, model, rng)
-            counts[state.grid_index, new.grid_index] += 1
-            state = new
+        for init, indices, _ in walks:
+            path = [init, *indices]
+            np.add.at(counts, (path[:-1], path[1:]), 1)
         for i in range(8):
             row_n = counts[i].sum()
             freqs = counts[i] / row_n
@@ -195,8 +201,8 @@ class TestEvolve:
             assert np.all(np.abs(freqs - model.transition[i]) <= 3 * se + 1e-12)
 
     def test_gain_moments(self):
-        rng = np.random.default_rng(4)
-        n = 100_000
-        gains = np.array([draw_gain(rng) for _ in range(n)])
+        _, walks = _walks(8, 0.5, 2, p_ttis=101, n_frames=1000)
+        gains = np.concatenate([g for _, _, g in walks])
+        n = len(gains)
         assert abs(gains.mean()) <= 3 / np.sqrt(n)
         assert abs(np.mean(np.abs(gains) ** 2) - 1.0) <= 3 * np.sqrt(2 / n)

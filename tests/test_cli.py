@@ -102,6 +102,19 @@ class TestSimulate:
         trials = (out / "trials.csv").read_text().splitlines()
         assert len(trials) == 1 + 3
 
+    def test_directional_beyond_budget(self, tmp_path):
+        # comb(64, 5) exceeds the exhaustive budget; the directional policy
+        # falls back to the greedy codeword search instead of exiting 2
+        cfg = _write_config(
+            tmp_path,
+            {"n_grid": 64, "m_beams": 5, "n_frames": 3, "policy": "directional_tep"},
+        )
+        out = tmp_path / "m5"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        trials = (out / "trials.csv").read_text().splitlines()
+        assert len(trials) == 1 + 3 * 2
+        assert all(line.split(",")[-1] != "nan" for line in trials[1:])
+
     def test_exit_2_on_bad_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

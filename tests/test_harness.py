@@ -3,16 +3,25 @@
 import numpy as np
 import pytest
 
-from beamtrack.arraymodel import build_codebook, build_grid
+from beamtrack import harness, kernels
+from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.harness import (
     POLICIES,
+    TRIAL_DTYPE,
     ExperimentConfig,
     beam_cycling_estimate,
     beam_cycling_probes,
     run_experiment,
     sweep,
 )
-from beamtrack.optimizer import PsaConfig
+from beamtrack.optimizer import BeamScheduler, PsaConfig
+from beamtrack.tracking import (
+    Belief,
+    PilotObservation,
+    map_estimate,
+    posterior,
+    propagate_prior,
+)
 
 FAST_PSA = PsaConfig(swarm_size=8, max_iters=20, stall_iters=10)
 
@@ -181,6 +190,103 @@ class TestRunExperiment:
         monkeypatch.setenv("BEAMTRACK_THREADS", "2")
         parallel, _ = run_experiment(cfg)
         assert np.array_equal(serial["directional_tep"], parallel["directional_tep"])
+
+
+def _reference_frames(config):
+    """Frame-by-frame, policy-by-policy tracking loop from the single-Belief
+    functions, each policy drawing its own (seed, frame, tti) noise stream."""
+    snr = 10.0 ** (config.snr_db / 10.0)
+    codebook = build_codebook(build_grid(config.n_grid), config.n_tx)
+    model = build_markov(
+        config.n_grid, config.beta, config.sigma, edge_mode=config.edge_mode
+    )
+    schedulers = {
+        pol: BeamScheduler(model, codebook, snr, config.m_beams, pol, config.psa)
+        for pol in config.policies
+        if pol != "beam_cycling"
+    }
+    cycling = beam_cycling_probes(config.n_tx, codebook)
+
+    def noise(frame, tti, m):
+        rng = np.random.default_rng([config.seed, frame, tti, 1])
+        re_im = rng.standard_normal(2 * m)
+        return (re_im[:m] + 1j * re_im[m:]) * np.sqrt(0.5 / snr)
+
+    out = {pol: [] for pol in config.policies}
+    for frame in range(config.n_frames):
+        init, true_indices, gains = harness._trajectory(config, model, frame)
+        for pol in config.policies:
+            belief, prev_est = Belief.point_mass(config.n_grid, init), init
+            for tti, true_idx, gain in zip(range(2, config.p_ttis + 1), true_indices, gains):
+                if pol == "beam_cycling":
+                    y = gain * cycling.matrix[:, true_idx]
+                    if not config.noiseless:
+                        y = y + noise(frame, tti, config.n_tx)
+                    est = beam_cycling_estimate(y, cycling)
+                    out[pol].append((frame, tti, true_idx, est, est != true_idx, np.nan))
+                    continue
+                prior = propagate_prior(belief, model)
+                if config.design_prior == "estimate":
+                    sensing = schedulers[pol].beams_for_index(prev_est).sensing
+                else:
+                    sensing = schedulers[pol].beams_for_prior(prior).sensing
+                y = gain * sensing.matrix[:, true_idx]
+                if not config.noiseless:
+                    y = y + noise(frame, tti, config.m_beams)
+                belief = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
+                est = map_estimate(belief)
+                gub = kernels.gamma_ub(
+                    prior.probs, sensing.gram_abs2, sensing.col_norms_sq, snr
+                )
+                out[pol].append((frame, tti, true_idx, est, est != true_idx, gub))
+                prev_est = est
+    return {pol: np.array(rows, dtype=TRIAL_DTYPE) for pol, rows in out.items()}
+
+
+class TestBlockedLoop:
+    """The period-by-period block loop equals the frame-by-frame reference
+    bit for bit, gamma_ub included."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"edge_mode": "truncate"},
+            {"noiseless": True},
+            {"m_beams": 3, "snr_db": 30.0},
+            {"beta": 0.9, "snr_db": 20.0, "p_ttis": 7},
+            {"beta": 0.0},
+            {"design_prior": "belief", "n_frames": 30},
+        ],
+        ids=["wrap", "truncate", "noiseless", "m3", "beta09", "static", "belief"],
+    )
+    def test_matches_reference(self, monkeypatch, overrides):
+        # blocks of 16 frames: 40 frames span three blocks, the last partial
+        monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
+        cfg = _config(**overrides)
+        got = harness._run_frames(cfg, 0, cfg.n_frames)
+        want = _reference_frames(cfg)
+        for pol in cfg.policies:
+            assert _trials_equal(got[pol], want[pol]), pol
+
+    def test_matches_reference_at_block_size(self):
+        n_frames = 2 * harness.BLOCK_FRAMES + 37
+        cfg = _config(
+            n_frames=n_frames, p_ttis=3, policy=["directional_tep", "beam_cycling"]
+        )
+        got = harness._run_frames(cfg, 0, n_frames)
+        want = _reference_frames(cfg)
+        for pol in cfg.policies:
+            assert _trials_equal(got[pol], want[pol]), pol
+
+    def test_frame_range_offset(self, monkeypatch):
+        # a worker's frame range starting mid-run sees the same frames
+        monkeypatch.setattr(harness, "BLOCK_FRAMES", 8)
+        cfg = _config(n_frames=30)
+        whole = harness._run_frames(cfg, 0, 30)
+        tail = harness._run_frames(cfg, 13, 30)
+        for pol in cfg.policies:
+            assert _trials_equal(tail[pol], whole[pol][whole[pol]["frame"] >= 13])
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 """Compiled kernel vs numpy fallback agreement and oracle checks."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,64 @@ class TestGammaUbBatch:
         for b in range(4):
             expected = _loop_gamma_ub(s[b], prior, snr)
             assert got[b] == pytest.approx(expected, rel=1e-12 * max(1.0, snr))
+
+
+class TestGammaUbRows:
+    """The block logging entry equals per-row ref.gamma_ub bit for bit."""
+
+    def _block(self, rng, m, n, f=9):
+        s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        s[1] = s[0] if m == 2 else s[1]
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        prior = rng.random((f, n))
+        prior[0, n // 2 :] = 0.0  # contiguous window
+        prior[1, ::3] = 0.0  # scattered zeros
+        prior[2] = 0.0
+        prior[2, 4] = 1.0  # point mass
+        prior[3, 5] = 1e-300  # underflow-sized entry
+        prior[4, [1, 6]] = 1e-300
+        prior[5, :4] = 0.0
+        prior[5, 7] = 1e-300
+        prior /= prior.sum(axis=1, keepdims=True)
+        return prior, gram_abs2, norms_sq
+
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 10.0, 1e6])
+    @pytest.mark.parametrize("m,n", [(2, 12), (3, 16)])
+    def test_matches_per_row(self, m, n, snr):
+        rng = np.random.default_rng(m * n)
+        prior, gram_abs2, norms_sq = self._block(rng, m, n)
+        rows = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        got = kernels.gamma_ub(prior, gram_abs2, norms_sq, snr)
+        assert rows.shape == got.shape == (len(prior),)
+        for f, row in enumerate(prior):
+            assert rows[f] == ref.gamma_ub(row, gram_abs2, norms_sq, snr)
+            assert got[f] == kernels.gamma_ub(row, gram_abs2, norms_sq, snr)
+
+    def test_split_into_steps(self, monkeypatch):
+        # a step budget of two rows gives the same bits as one step
+        rng = np.random.default_rng(4)
+        prior, gram_abs2, norms_sq = self._block(rng, 2, 12)
+        whole = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        monkeypatch.setattr(ref, "ROW_PAIRS", 2 * 12 * 12)
+        split = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        assert np.array_equal(whole, split)
+
+    def test_compiled_branch_loops_rows(self, monkeypatch):
+        # with a compiled implementation loaded, the block entry calls its
+        # scalar kernel once per row
+        calls = []
+
+        def scalar(prior, gram_abs2, norms_sq, snr):
+            calls.append(prior)
+            return ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
+
+        fake = types.SimpleNamespace(IS_COMPILED=True, gamma_ub=scalar)
+        monkeypatch.setattr(kernels, "_impl", fake)
+        rng = np.random.default_rng(5)
+        prior, gram_abs2, norms_sq = self._block(rng, 2, 12)
+        got = kernels.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
+        assert len(calls) == len(prior)
+        assert np.array_equal(got, ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0))
+        assert kernels.gamma_ub(prior[0], gram_abs2, norms_sq, 10.0) == got[0]
+        assert len(calls) == len(prior) + 1

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from beamtrack.arraymodel import (
-    ChannelState,
     build_codebook,
     build_grid,
     build_markov,
+)
+from beamtrack.harness import (
+    ExperimentConfig,
+    _noise,
+    _noise_normals,
+    _trajectory,
+    run_experiment,
 )
 from beamtrack.linalg import (
     covariance,
@@ -24,9 +30,8 @@ from beamtrack.tracking import (
     map_estimate,
     posterior,
     propagate_prior,
+    log_likelihood_scores,
     sensing_matrix,
-    simulate_observation,
-    track_frame,
 )
 
 
@@ -108,41 +113,42 @@ class TestSensingMatrix:
 
 
 class TestObservation:
+    """The harness's observation model: y = gain * s_kappa + noise with
+    noise ~ CN(0, (1/snr) I), gains from the channel trajectory."""
+
     def test_noiseless(self):
-        grid = build_grid(16)
-        cb = build_codebook(grid, 8)
-        beams = BeamMatrix(phases=np.zeros((8, 2)))
-        state = ChannelState(grid_index=3, gain=0.7 - 0.2j)
-        obs = simulate_observation(state, beams, cb, 10.0, np.random.default_rng(0), noiseless=True)
-        s = sensing_matrix(beams, cb)
-        np.testing.assert_allclose(obs.y, state.gain * s.matrix[:, 3])
+        # orthogonal probes (n_tx == n_grid) recover every noiseless pilot at
+        # any SNR; with noise at -20 dB they do not
+        cfg = dict(
+            n_tx=16, n_grid=16, sigma=2, p_ttis=4, snr_db=-20.0, n_frames=30,
+            policy="beam_cycling", seed=5,
+        )
+        clean, _ = run_experiment(ExperimentConfig(noiseless=True, **cfg))
+        noisy, _ = run_experiment(ExperimentConfig(**cfg))
+        assert clean["beam_cycling"]["error"].sum() == 0
+        assert noisy["beam_cycling"]["error"].sum() > 0
 
     def test_zero_gain_noise_variance(self):
-        grid = build_grid(16)
-        cb = build_codebook(grid, 8)
-        beams = BeamMatrix(phases=np.zeros((8, 2)))
-        state = ChannelState(grid_index=0, gain=0.0)
-        rng = np.random.default_rng(1)
-        snr = 4.0
-        n = 100_000
-        ys = np.array(
-            [simulate_observation(state, beams, cb, snr, rng).y for _ in range(n)]
-        )
-        var = np.mean(np.abs(ys) ** 2)
-        assert var == pytest.approx(1 / snr, rel=0.02)
+        config = ExperimentConfig(seed=1)
+        snr, m, n = 4.0, 2, 50_000
+        noise = _noise(_noise_normals(config, range(n), 2, 2 * m), m, snr)
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(1 / snr, rel=0.02)
+        # real and imaginary parts are independent, each of variance 1/(2 snr)
+        assert np.mean(noise.real**2) == pytest.approx(0.5 / snr, rel=0.03)
+        assert abs(np.mean(noise.real * noise.imag)) < 3 * 0.5 / snr / np.sqrt(n)
 
     def test_empirical_covariance(self):
         rng = np.random.default_rng(2)
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
+        model = build_markov(8, 0.5, 1)
         beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (4, 2)))
         s = sensing_matrix(beams, cb)
-        snr, kappa, n = 5.0, 3, 100_000
-        ys = np.empty((n, 2), dtype=complex)
-        for i in range(n):
-            gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-            state = ChannelState(grid_index=kappa, gain=gain)
-            ys[i] = simulate_observation(state, beams, cb, snr, rng).y
+        snr, kappa, n = 5.0, 3, 20_000
+        config = ExperimentConfig(n_grid=8, sigma=1, p_ttis=2, seed=2)
+        gains = np.array([_trajectory(config, model, f)[2][0] for f in range(n)])
+        noise = _noise(_noise_normals(config, range(n), 2, 4), 2, snr)
+        ys = gains[:, None] * s.matrix[:, kappa] + noise
         emp = ys.T @ ys.conj() / n
         expected = covariance(s.matrix[:, kappa], snr)
         # per-entry standard error scales with the diagonal magnitudes
@@ -244,8 +250,6 @@ class TestPosterior:
     def test_scale_invariance(self):
         # common positive rescaling of the unnormalized scores is a log-domain
         # shift; the normalized posterior and its argmax must not move
-        from beamtrack.tracking import log_likelihood_scores
-
         rng = np.random.default_rng(9)
         sensing = _random_sensing(rng, 3, 6)
         probs = rng.random(6)
@@ -304,38 +308,99 @@ class TestMapEstimate:
 
 
 class TestTrackFrame:
-    def test_stationary_noiseless_exact(self):
-        rng = np.random.default_rng(13)
-        grid = build_grid(16)
-        cb = build_codebook(grid, 8)
-        model = build_markov(16, 0.0, 2)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (8, 2)))
-        steps = track_frame(
-            model, cb, [beams] * 4, initial_index=5, snr=10.0, p_ttis=5,
-            rng=rng, noiseless=True,
+    """Whole-frame tracking through the harness."""
+
+    def _config(self, **overrides):
+        cfg = dict(
+            n_tx=8, n_grid=16, sigma=2, p_ttis=5, beta=0.7, snr_db=10.0, n_frames=20,
+            policy=["psa_optimized", "directional_tep"], seed=13,
         )
-        assert all(s.est_index == s.true_index == 5 for s in steps)
+        cfg.update(overrides)
+        return ExperimentConfig(**cfg)
+
+    def test_stationary_noiseless_exact(self):
+        trials, _ = run_experiment(self._config(beta=0.0, noiseless=True))
+        for arr in trials.values():
+            assert np.array_equal(arr["est_index"], arr["true_index"])
+            first = arr["tti"] == 2
+            # the angle never moves from the frame's first index
+            init = dict(zip(arr["frame"][first], arr["true_index"][first]))
+            assert all(init[f] == t for f, t in zip(arr["frame"], arr["true_index"]))
 
     def test_sigma_zero_never_errs(self):
-        rng = np.random.default_rng(14)
-        grid = build_grid(16)
-        cb = build_codebook(grid, 8)
-        model = build_markov(16, 0.7, 0)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (8, 2)))
-        steps = track_frame(
-            model, cb, [beams] * 9, initial_index=3, snr=1.0, p_ttis=10, rng=rng
-        )
-        assert all(s.true_index == 3 and s.est_index == 3 for s in steps)
-
-    def test_schedule_length_mismatch(self):
-        rng = np.random.default_rng(15)
-        grid = build_grid(16)
-        cb = build_codebook(grid, 8)
-        model = build_markov(16, 0.2, 2)
-        beams = BeamMatrix(phases=np.zeros((8, 2)))
-        with pytest.raises(ValueError):
-            track_frame(model, cb, [beams] * 3, 0, 10.0, 5, rng)
+        # a window of zero steps keeps every prior a point mass, so even at
+        # 0 dB the designed policies never err
+        trials, _ = run_experiment(self._config(sigma=0, snr_db=0.0))
+        for arr in trials.values():
+            assert arr["error"].sum() == 0
 
     def test_degenerate_belief_guard(self):
         with pytest.raises(DegenerateBeliefError):
             Belief(np.zeros(4))
+
+
+class TestBlock:
+    """An (F, N) block advances every row exactly as the single-frame call."""
+
+    F, M, N = 7, 3, 12
+
+    def _block(self, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.random((self.F, self.N))
+        probs[1, 4:] = 0.0
+        probs[2, ::2] = 0.0
+        probs[3, 5] = 1e-300
+        probs[4] = 0.0
+        probs[4, 6] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        mats = rng.standard_normal((self.F, self.M, self.N)) + 1j * rng.standard_normal(
+            (self.F, self.M, self.N)
+        )
+        y = rng.standard_normal((self.F, self.M)) + 1j * rng.standard_normal((self.F, self.M))
+        return probs, mats, y
+
+    def test_propagate_prior(self):
+        probs, _, _ = self._block(20)
+        model = build_markov(self.N, 0.4, 2)
+        block = propagate_prior(Belief(probs), model)
+        for f in range(self.F):
+            one = propagate_prior(Belief(probs[f]), model)
+            assert np.array_equal(block.probs[f], one.probs)
+
+    @pytest.mark.parametrize("snr", [1e-2, 3.0, 1e4])
+    def test_posterior_and_map(self, snr):
+        probs, mats, y = self._block(21)
+        obs = PilotObservation(y=y, snr=snr)
+        sensing = SensingMatrix(matrix=mats)
+        scores = log_likelihood_scores(obs, sensing)
+        block = posterior(Belief(probs), obs, sensing)
+        est = map_estimate(block)
+        assert est.shape == (self.F,)
+        for f in range(self.F):
+            obs_f = PilotObservation(y=y[f], snr=snr)
+            sensing_f = SensingMatrix(matrix=mats[f])
+            one = posterior(Belief(probs[f]), obs_f, sensing_f)
+            assert np.array_equal(scores[f], log_likelihood_scores(obs_f, sensing_f))
+            assert np.array_equal(block.probs[f], one.probs)
+            assert est[f] == map_estimate(one)
+
+    def test_sensing_stack(self):
+        _, mats, _ = self._block(22)
+        stack = SensingMatrix(matrix=mats)
+        assert (stack.m_beams, stack.n_points) == (self.M, self.N)
+        for f in range(self.F):
+            one = SensingMatrix(matrix=mats[f])
+            assert np.array_equal(stack.col_norms_sq[f], one.col_norms_sq)
+            assert np.array_equal(stack.gram_abs2[f], one.gram_abs2)
+
+    def test_block_validation(self):
+        good = np.full((2, 4), 0.25)
+        assert Belief(good).n_points == 4
+        bad = good.copy()
+        bad[1, 0] = 0.5
+        with pytest.raises(ValueError, match="sum to 1"):
+            Belief(bad)
+        with pytest.raises(DegenerateBeliefError):
+            Belief(np.vstack([good[0], np.zeros(4)]))
+        with pytest.raises(ValueError):
+            Belief(np.full((2, 2, 2), 0.5))
