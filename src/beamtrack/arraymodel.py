@@ -10,6 +10,7 @@ between grid points following a banded Markov chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +121,13 @@ class MarkovModel:
     @property
     def n_points(self) -> int:
         return self.transition.shape[0]
+
+    @cached_property
+    def transition_cdf(self) -> np.ndarray:
+        """Row-wise CDF of ``transition``, each row divided by its last entry
+        as ``Generator.choice`` normalizes ``p``."""
+        cdf = np.cumsum(self.transition, axis=1)
+        return cdf / cdf[:, -1:]
 
 
 def build_markov(

@@ -99,20 +99,14 @@ def _summary_csv(rows) -> str:
 def _trials_csv(trials_by_policy: dict[str, np.ndarray]) -> str:
     lines = [",".join(TRIAL_COLUMNS)]
     for policy in sorted(trials_by_policy):
-        for row in trials_by_policy[policy]:
-            lines.append(
-                ",".join(
-                    [
-                        policy,
-                        str(int(row["frame"])),
-                        str(int(row["tti"])),
-                        str(int(row["true_index"])),
-                        str(int(row["est_index"])),
-                        str(int(row["error"])),
-                        _fmt(float(row["gamma_ub"])),
-                    ]
-                )
-            )
+        trials = trials_by_policy[policy]
+        # Column-wise: tolist() gives Python ints and floats, which format
+        # as _fmt formats each cell (a NaN of either sign prints "nan").
+        columns = [trials[name].tolist() for name in TRIAL_COLUMNS[1:]]
+        lines.extend(
+            f"{policy},{frame},{tti},{true},{est},{err},{ub:.12g}"
+            for frame, tti, true, est, err, ub in zip(*columns)
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -174,14 +174,18 @@ def beam_cycling_estimate(y: np.ndarray, sensing: SensingMatrix) -> int | np.nda
 
 
 def _trajectory(config: ExperimentConfig, model, frame: int):
-    """Shared-per-frame channel realization: index walk plus per-period gains."""
+    """Shared-per-frame channel realization: index walk plus per-period gains.
+
+    Each hop draws one uniform against the current row's transition CDF,
+    which is what ``rng.choice(n, p=row)`` does, so the walk is the same.
+    """
     rng = np.random.default_rng([config.seed, frame, 0])
-    n = model.n_points
-    init = int(rng.integers(n))
+    cdf = model.transition_cdf
+    init = int(rng.integers(model.n_points))
     indices = [init]
     gains = []
     for _ in range(2, config.p_ttis + 1):
-        indices.append(int(rng.choice(n, p=model.transition[indices[-1]])))
+        indices.append(int(cdf[indices[-1]].searchsorted(rng.random(), side="right")))
         re, im = rng.standard_normal(2)
         gains.append(complex(re, im) / np.sqrt(2.0))
     return init, indices[1:], gains
@@ -217,21 +221,34 @@ def _designs(config: ExperimentConfig, scheduler: BeamScheduler, prior: Belief, 
     return list({id(d): d for d in found}.values()), which
 
 
-def _log_bounds(prior: Belief, designs, which: np.ndarray, snr: float) -> np.ndarray:
-    """Union bound of each frame's prior against its design, one kernel call
-    per design."""
-    out = np.empty(len(which))
+def _log_bounds(
+    priors: np.ndarray, slots: np.ndarray, designs: list, snr: float
+) -> np.ndarray:
+    """Union bound of each (period, frame) prior against the design it used,
+    one kernel call per design.
+
+    ``priors`` is (n_steps, F, N) and ``slots`` (n_steps, F) indexes
+    ``designs``; returns the (F, n_steps) bounds.
+    """
+    flat = priors.reshape(-1, priors.shape[-1])
+    slots = slots.ravel()
+    out = np.empty(len(slots))
     for k, designed in enumerate(designs):
-        rows = np.flatnonzero(which == k)
+        rows = np.flatnonzero(slots == k)
         sensing = designed.sensing
         out[rows] = kernels.gamma_ub(
-            prior.probs[rows], sensing.gram_abs2, sensing.col_norms_sq, snr
+            flat[rows], sensing.gram_abs2, sensing.col_norms_sq, snr
         )
-    return out
+    return out.reshape(priors.shape[:2]).T
 
 
 def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, cycling):
-    """Simulate a block of frames, all advancing one period at a time."""
+    """Simulate a block of frames, all advancing one period at a time.
+
+    The bound never feeds back into tracking, so each designed policy keeps
+    its period priors and the design each (period, frame) used, and logs
+    the bounds once the block's periods are done.
+    """
     n_steps = config.p_ttis - 1
     walks = [_trajectory(config, model, frame) for frame in frames]
     init = np.array([w[0] for w in walks])
@@ -245,6 +262,9 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
 
     est = {pol: np.empty((len(frames), n_steps), dtype=int) for pol in config.policies}
     gub = {pol: np.full((len(frames), n_steps), np.nan) for pol in config.policies}
+    priors = {pol: np.empty((n_steps, len(frames), config.n_grid)) for pol in schedulers}
+    slots = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in schedulers}
+    used = {pol: {} for pol in schedulers}  # id(design) -> (slot, design)
     beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in schedulers}
     prev_est = {pol: init for pol in schedulers}
     for step in range(n_steps):
@@ -263,7 +283,10 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
                 continue
 
             prior = propagate_prior(beliefs[pol], model)
+            priors[pol][step] = prior.probs
             designs, which = _designs(config, schedulers[pol], prior, prev_est[pol])
+            slot = [used[pol].setdefault(id(d), (len(used[pol]), d))[0] for d in designs]
+            slots[pol][step] = np.asarray(slot)[which]
             sensing = SensingMatrix(
                 matrix=np.stack([d.sensing.matrix for d in designs])[which]
             )
@@ -272,7 +295,9 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
                 y = y + _noise(normals, config.m_beams, snr)
             beliefs[pol] = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
             prev_est[pol] = est[pol][:, step] = map_estimate(beliefs[pol])
-            gub[pol][:, step] = _log_bounds(prior, designs, which, snr)
+    for pol in schedulers:
+        designs = [d for _, d in used[pol].values()]
+        gub[pol] = _log_bounds(priors[pol], slots[pol], designs, snr)
 
     out = {}
     for pol in config.policies:
@@ -311,15 +336,16 @@ def _run_frames(config: ExperimentConfig, frame_lo: int, frame_hi: int):
         else None
     )
 
-    # Belief-prior designs are cached under a rounded key, so which of two
-    # nearly equal priors gets designed first decides the design both use;
-    # one frame per block keeps the frame-by-frame lookup order.
-    size = BLOCK_FRAMES if config.design_prior == "estimate" else 1
     blocks = [
         _run_block(
-            config, range(lo, min(lo + size, frame_hi)), model, snr, schedulers, cycling
+            config,
+            range(lo, min(lo + BLOCK_FRAMES, frame_hi)),
+            model,
+            snr,
+            schedulers,
+            cycling,
         )
-        for lo in range(frame_lo, frame_hi, size)
+        for lo in range(frame_lo, frame_hi, BLOCK_FRAMES)
     ]
     return {
         pol: np.concatenate([block[pol] for block in blocks])

@@ -29,8 +29,8 @@ ZERO_EIG_RTOL = 1e-10
 # spurious nonzero eigenvalue pair.
 RANK_DEFICIENT_RTOL = 1e-12
 # Hypothesis pairs (rows x support x support) per prior-dependent step of
-# gamma_ub_rows.  The step holds about twenty temporaries of this many
-# doubles, so this caps them near 1.3 MB whatever the block size.
+# gamma_ub_rows.  The step holds about six temporaries of this many doubles,
+# so this caps them near 0.4 MB whatever the block size.
 ROW_PAIRS = 1 << 13
 
 
@@ -170,25 +170,85 @@ def gamma_ub(
 
 
 def _support_sums(prior: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """sum_k p_k sum_n mu_kn of each row of a (G, S) prior block against its
-    (G, S, S) mu, taken on the row's own support in :func:`gamma_ub`'s order:
-    compacted row sums, then one dot product."""
+    """sum_k p_k sum_n mu_kn of each row of a (G, U) prior block against its
+    (G, U, U) mu, taken on the row's own support in :func:`gamma_ub`'s order:
+    compacted row sums, then one dot product.  Every row has the same
+    support size."""
     support = prior > 0.0
-    sizes = support.sum(axis=1)
-    out = np.empty(len(prior))
+    size = int(support[0].sum())
     # The gathers copy into C order, so each row sum and dot product runs
     # over contiguous memory as on the scalar kernel's compacted copies;
     # strided operands are reduced in another order and round differently.
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        if size == prior.shape[1]:
-            sub, probs = mu[rows], prior[rows]
-        else:
-            pos = np.nonzero(support[rows])[1].reshape(len(rows), size)
-            sub = mu[rows[:, None, None], pos[:, :, None], pos[:, None, :]]
-            probs = prior[rows[:, None], pos]
-        out[rows] = np.matmul(probs[:, None, :], sub.sum(axis=-1)[:, :, None])[:, 0, 0]
-    return out
+    if size == prior.shape[1]:
+        sub, probs = mu, prior
+    else:
+        rows = np.arange(len(prior))
+        pos = np.nonzero(support)[1].reshape(len(prior), size)
+        sub = mu[rows[:, None, None], pos[:, :, None], pos[:, None, :]]
+        probs = prior[rows[:, None], pos]
+    return np.matmul(probs[:, None, :], sub.sum(axis=-1)[:, :, None])[:, 0, 0]
+
+
+def _pair_constants(gram_abs2, norms_sq, snr) -> np.ndarray:
+    """Prior-independent terms of every hypothesis pair for
+    :func:`gamma_ub_rows`, as a (6, N*N) array of flattened pair matrices.
+
+    The rows are the log-determinant part of delta, a threshold, and per
+    branch of :func:`mu_cases` the negated eigenvalue -L of its tail
+    ``exp(-delta/L)`` and the ratio that multiplies that tail.  The case
+    masks are folded into them, so one formula serves every pair::
+
+        mu = 1 + ratio_high * exp(delta / nl_high)   where delta > thr
+        mu = ratio_low * exp(delta / nl_low)         elsewhere
+
+    A branch that uses no tail has ratio 0 and an infinite L, so its tail is
+    exp(+-0) = 1; ``1 - tail`` is ratio -1.  The threshold is 0 except where
+    both eigenvalues are zero and mu = P(0 <= delta): there it is the
+    negative subnormal nearest 0, so delta > thr means delta >= 0.  The
+    diagonal, whose delta is exactly 0, gets mu = 0.
+    """
+    lam1, lam2 = pair_eigs(gram_abs2, norms_sq, snr)
+    logdet = np.log1p(snr * np.asarray(norms_sq, dtype=float))
+    tol = ZERO_EIG_RTOL * np.maximum(1.0, np.maximum(np.abs(lam1), np.abs(lam2)))
+    pos1 = lam1 > tol
+    neg2 = lam2 < -tol
+    both = pos1 & neg2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = lam2 - lam1
+        ratio_low = np.where(both, lam2 / gap, np.where(neg2, 1.0, 0.0))
+        ratio_high = np.where(both, lam1 / gap, np.where(pos1, -1.0, 0.0))
+    nl_low = np.where(neg2, -lam2, np.inf)
+    nl_high = np.where(pos1, -lam1, -np.inf)
+    thr = np.where(pos1 | neg2, 0.0, -np.finfo(float).smallest_subnormal)
+    np.fill_diagonal(thr, 0.0)
+    np.fill_diagonal(ratio_low, 0.0)
+    np.fill_diagonal(nl_low, np.inf)
+    logdet_diff = logdet[:, None] - logdet[None, :]
+    terms = (logdet_diff, thr, nl_low, nl_high, ratio_low, ratio_high)
+    return np.stack(terms).reshape(len(terms), -1)
+
+
+def _rows_mu(prior: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """(G, U, U) mu of a (G, U) prior block from its columns' gathered
+    :func:`_pair_constants`, equal to :func:`pair_terms`' mu on every pair of
+    support points."""
+    logdet, thr, nl_low, nl_high, ratio_low, ratio_high = consts
+    g, u = prior.shape
+    log_prior = np.log(prior)
+    delta = np.add(
+        log_prior[:, None, :] - log_prior[:, :, None],
+        logdet.reshape(u, u),
+        order="C",
+    ).reshape(g, u * u)
+    high = delta > thr
+    tail = np.where(high, nl_high, nl_low)
+    np.divide(delta, tail, out=tail)
+    np.exp(tail, out=tail)
+    mu = np.where(high, ratio_high, ratio_low)
+    mu *= tail
+    np.add(mu, 1.0, out=mu, where=high)
+    np.clip(mu, 0.0, 1.0, out=mu)
+    return mu.reshape(g, u, u)
 
 
 def gamma_ub_rows(
@@ -197,19 +257,30 @@ def gamma_ub_rows(
     """Union bounds of an (F, N) block of priors against one sensing matrix.
 
     Each of the (F,) results equals :func:`gamma_ub` on that row bit for bit.
-    The pair eigenvalues are computed once, on the union of the rows'
-    supports; the prior-dependent part runs on at most ``ROW_PAIRS`` pairs
-    at a time.
+    Every prior-independent pair term is computed once, on the full grid.
+    Rows are scored in groups of equal support size, each group on the
+    union of its rows' supports and at most ``ROW_PAIRS`` pairs at a time;
+    each row is still reduced on its own support.
     """
     prior = np.asarray(prior, dtype=float)
-    cols = np.flatnonzero((prior > 0.0).any(axis=0))
-    prior = prior[:, cols]
-    norms_sq = np.asarray(norms_sq, dtype=float)[cols]
-    lam1, lam2 = pair_eigs(gram_abs2[np.ix_(cols, cols)], norms_sq, snr)
+    n = prior.shape[1]
+    support = prior > 0.0
+    sizes = support.sum(axis=1)
     out = np.empty(len(prior))
-    step = max(1, ROW_PAIRS // max(1, len(cols)) ** 2)
-    for lo in range(0, len(prior), step):
-        block = prior[lo : lo + step]
-        mu = _pair_mu(block, lam1, lam2, norms_sq, snr)[1]
-        out[lo : lo + step] = _support_sums(block, mu)
+    consts = _pair_constants(gram_abs2, norms_sq, snr)
+    # Zero-prior columns give log 0 = -inf and NaN deltas in the union's
+    # lanes; no row sums them.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            cols = np.flatnonzero(support[rows].any(axis=0))
+            if len(cols) == n:
+                sub = consts
+            else:
+                sub = np.take(consts, (cols[:, None] * n + cols).ravel(), axis=1)
+            step = max(1, ROW_PAIRS // max(1, len(cols)) ** 2)
+            for lo in range(0, len(rows), step):
+                chunk = rows[lo : lo + step]
+                block = prior[chunk[:, None], cols]  # C order, see _support_sums
+                out[chunk] = _support_sums(block, _rows_mu(block, sub))
     return out

@@ -346,7 +346,9 @@ class BeamScheduler:
         )
 
     def beams_for_prior(self, prior: Belief) -> DesignedBeams:
-        key = np.round(prior.probs, 12).tobytes()
+        # Keyed by the exact bits, so the design is a function of the prior
+        # alone, whatever order priors are looked up in.
+        key = prior.probs.tobytes()
         cached = self._prior_cache.get(key)
         if cached is None:
             cached = self._design(prior)

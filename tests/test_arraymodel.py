@@ -200,6 +200,25 @@ class TestEvolve:
             se = np.sqrt(model.transition[i] * (1 - model.transition[i]) / row_n)
             assert np.all(np.abs(freqs - model.transition[i]) <= 3 * se + 1e-12)
 
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.9])
+    @pytest.mark.parametrize("n_grid", [12, 64])
+    def test_matches_choice_reference(self, n_grid, beta, edge_mode):
+        # the CDF draw consumes the generator exactly as rng.choice(n, p=row)
+        config = ExperimentConfig(
+            n_grid=n_grid, beta=beta, sigma=5, p_ttis=10, n_frames=300, seed=7
+        )
+        model = build_markov(n_grid, beta, 5, edge_mode=edge_mode)
+        for frame in range(config.n_frames):
+            rng = np.random.default_rng([config.seed, frame, 0])
+            init = int(rng.integers(n_grid))
+            indices, gains = [init], []
+            for _ in range(config.p_ttis - 1):
+                indices.append(int(rng.choice(n_grid, p=model.transition[indices[-1]])))
+                re, im = rng.standard_normal(2)
+                gains.append(complex(re, im) / np.sqrt(2.0))
+            assert _trajectory(config, model, frame) == (init, indices[1:], gains)
+
     def test_gain_moments(self):
         _, walks = _walks(8, 0.5, 2, p_ttis=101, n_frames=1000)
         gains = np.concatenate([g for _, _, g in walks])

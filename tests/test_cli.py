@@ -10,10 +10,13 @@ from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
+    _fmt,
+    _trials_csv,
     load_config,
     main,
     parse_prior_spec,
 )
+from beamtrack.harness import TRIAL_DTYPE
 from beamtrack.optimizer import beam_objective
 from beamtrack.tracking import BeamMatrix
 
@@ -157,6 +160,27 @@ class TestSimulate:
         blocker.write_text("file, not a directory")
         out = blocker / "run"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+
+
+class TestTrialsCsv:
+    def test_matches_per_row_formatting(self):
+        # the column-wise writer prints every cell as the per-row one did
+        rows = np.zeros(7, dtype=TRIAL_DTYPE)
+        rows["frame"] = [0, 1, 2, 3, 40000, 5, 6]
+        rows["tti"] = [2, 3, 4, 5, 6, 7, 8]
+        rows["true_index"] = [0, 63, 5, 7, 1, 2, 3]
+        rows["est_index"] = [0, 62, 5, 6, 1, 2, 4]
+        rows["error"] = rows["true_index"] != rows["est_index"]
+        rows["gamma_ub"] = [np.nan, 1e-300, 0.0, 1.5, 0.123456789012345, -np.nan, 2e-7]
+        trials = {"psa_optimized": rows, "beam_cycling": rows[::-1]}
+        want = [",".join(TRIAL_COLUMNS)]
+        for policy in sorted(trials):
+            for row in trials[policy]:
+                cells = [str(int(row[name])) for name in TRIAL_COLUMNS[1:-1]]
+                want.append(",".join([policy, *cells, _fmt(float(row["gamma_ub"]))]))
+        got = _trials_csv(trials)
+        assert got == "\n".join(want) + "\n"
+        assert {"nan", "1e-300", "0"} <= {line.split(",")[-1] for line in got.split()}
 
 
 class TestSweepCommand:

@@ -269,6 +269,34 @@ class TestBlockedLoop:
         for pol in cfg.policies:
             assert _trials_equal(got[pol], want[pol]), pol
 
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    def test_one_kernel_call_per_block_design(self, monkeypatch, edge_mode):
+        # bounds are logged at block end, one kernel call per design a block
+        # used: per policy, the distinct point estimates the block's periods
+        # were designed from
+        monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
+        calls = []
+        gamma_ub = kernels.gamma_ub
+
+        def counted(prior, *args):
+            calls.append(len(prior))
+            return gamma_ub(prior, *args)
+
+        monkeypatch.setattr(kernels, "gamma_ub", counted)
+        cfg = _config(edge_mode=edge_mode)
+        trials = harness._run_frames(cfg, 0, cfg.n_frames)
+        model = build_markov(cfg.n_grid, cfg.beta, cfg.sigma, edge_mode=edge_mode)
+        init = [harness._trajectory(cfg, model, f)[0] for f in range(cfg.n_frames)]
+        n_steps = cfg.p_ttis - 1
+        expected = 0
+        for pol in ("psa_optimized", "directional_tep"):
+            est = trials[pol]["est_index"].reshape(cfg.n_frames, n_steps)
+            designed_from = np.column_stack([init, est[:, :-1]])
+            for lo in range(0, cfg.n_frames, 16):
+                expected += len(np.unique(designed_from[lo : lo + 16]))
+        assert len(calls) == expected
+        assert sum(calls) == 2 * cfg.n_frames * n_steps
+
     def test_matches_reference_at_block_size(self):
         n_frames = 2 * harness.BLOCK_FRAMES + 37
         cfg = _config(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamtrack import kernels
+from beamtrack.arraymodel import build_markov
 from beamtrack.kernels import ref
 from beamtrack.linalg import covariance_det, covariance_inverse
 from beamtrack.tepbound import mu_pair
@@ -182,6 +183,92 @@ class TestGammaUbRows:
         for f, row in enumerate(prior):
             assert rows[f] == ref.gamma_ub(row, gram_abs2, norms_sq, snr)
             assert got[f] == kernels.gamma_ub(row, gram_abs2, norms_sq, snr)
+
+    def _mixed_block(self, rng, aligned):
+        """Fig. 2-sized priors of many support sizes in one block."""
+        n = 64
+        s = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        if aligned:
+            s[1] = s[0]
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        transition = build_markov(n, 0.2, 5).transition
+        arcs = transition[[0, 3, 31, 60, 63]]  # 11-point arcs, two wrapping
+        wide = arcs @ transition @ transition  # 31-point arcs
+        holes = arcs.copy()
+        holes[:, [1, 2, 33, 62]] = 0.0
+        full = rng.random((3, n))
+        full[1, [5, 40]] = 1e-300
+        full[2, ::7] = 1e-300
+        point = np.eye(n)[[9]]
+        prior = np.vstack([arcs, wide, holes, full, point, arcs[::-1]])
+        return prior / prior.sum(axis=1, keepdims=True), gram_abs2, norms_sq
+
+    @pytest.mark.parametrize("aligned", [False, True], ids=["random", "aligned"])
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 10.0, 1e3, 1e6])
+    def test_mixed_support_sizes(self, snr, aligned):
+        # one call over arcs, arcs with holes, full supports and 1e-300
+        # entries equals per-row ref.gamma_ub bit for bit
+        rng = np.random.default_rng(int(snr * 1000) % 97)
+        prior, gram_abs2, norms_sq = self._mixed_block(rng, aligned)
+        assert len(np.unique((prior > 0).sum(axis=1))) >= 5
+        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        want = [ref.gamma_ub(row, gram_abs2, norms_sq, snr) for row in prior]
+        assert got.tolist() == want
+
+    def test_every_mu_case(self):
+        # columns 0, 1 (= 2 * column 0) and 2 (= column 0) make aligned pairs
+        # with one or no nonzero eigenvalue; equal prior entries on equal
+        # columns give delta == 0 exactly, where mu steps
+        rng = np.random.default_rng(8)
+        s = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+        s[:, 1] = 2.0 * s[:, 0]
+        s[:, 2] = s[:, 0]
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, 10.0)
+        tol = ref.ZERO_EIG_RTOL * np.maximum(1.0, np.maximum(abs(lam1), abs(lam2)))
+        pos1, neg2 = lam1 > tol, lam2 < -tol
+        off = ~np.eye(8, dtype=bool)
+        for case in (pos1 & neg2, pos1 & ~neg2, ~pos1 & neg2, ~pos1 & ~neg2):
+            assert (case & off).any()
+        prior = rng.random((4, 8))
+        prior[:, 2] = prior[:, 0]
+        prior[1, 1] = prior[1, 0]
+        prior[2, 3:] = 0.0
+        prior /= prior.sum(axis=1, keepdims=True)
+        consts = ref._pair_constants(gram_abs2, norms_sq, 10.0)
+        for row in prior:
+            idx = np.flatnonzero(row > 0)
+            sub = np.take(consts, (idx[:, None] * 8 + idx).ravel(), axis=1)
+            got = ref._rows_mu(row[idx][None], sub)[0]
+            want = ref.pair_terms(
+                row[idx], gram_abs2[np.ix_(idx, idx)], norms_sq[idx], 10.0
+            )[3]
+            assert np.array_equal(got, want)
+        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        assert got.tolist() == [ref.gamma_ub(r, gram_abs2, norms_sq, 10.0) for r in prior]
+
+    def test_pair_eigs_once_per_call(self, monkeypatch):
+        calls = []
+        pair_eigs = ref.pair_eigs
+
+        def counted(*args):
+            calls.append(args)
+            return pair_eigs(*args)
+
+        monkeypatch.setattr(ref, "pair_eigs", counted)
+        prior, gram_abs2, norms_sq = self._mixed_block(np.random.default_rng(3), False)
+        ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        assert len(calls) == 1
+
+    def test_empty_support_row(self):
+        rng = np.random.default_rng(6)
+        prior, gram_abs2, norms_sq = self._block(rng, 2, 12)
+        prior[3] = 0.0
+        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        assert got[3] == 0.0
+        assert got.tolist() == [ref.gamma_ub(r, gram_abs2, norms_sq, 10.0) for r in prior]
 
     def test_split_into_steps(self, monkeypatch):
         # a step budget of two rows gives the same bits as one step

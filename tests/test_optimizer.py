@@ -218,6 +218,21 @@ class TestScheduler:
         assert sched.design_count == 1
         assert second is first
 
+    def test_prior_key_is_exact(self):
+        # priors equal after rounding to 12 digits but not in bits get their
+        # own designs, so no lookup order decides which design both share
+        sched = self._scheduler("directional_tep")
+        probs = np.full(8, 1.0 / 8)
+        near = probs.copy()
+        near[0] += 1e-14
+        near[1] -= 1e-14
+        assert np.array_equal(np.round(probs, 12), np.round(near, 12))
+        first = sched.beams_for_prior(Belief(probs))
+        second = sched.beams_for_prior(Belief(near))
+        assert sched.design_count == 2
+        assert second is not first
+        assert sched.beams_for_prior(Belief(near.copy())) is second
+
     def test_wrap_index_designs_once(self):
         sched = self._scheduler("psa_optimized")
         designs = [sched.beams_for_index(k) for k in range(8)]

@@ -243,14 +243,16 @@ class TestUpperBound:
         ub = tep_upper_bound(prior, sensing, snr).gamma_ub
         n_trials = 100_000
         ks = rng.choice(12, size=n_trials, p=probs)
-        errs = 0
-        for k in ks:
-            gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-            y = gain * sensing.matrix[:, k] + (
-                rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            ) * np.sqrt(0.5 / snr)
-            post = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
-            errs += map_estimate(post) != k
+        # per trial, in draw order: gain re, gain im, noise re (2), noise im (2)
+        z = rng.standard_normal((n_trials, 6))
+        gains = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+        y = gains[:, None] * sensing.matrix[:, ks].T + (
+            z[:, 2:4] + 1j * z[:, 4:6]
+        ) * np.sqrt(0.5 / snr)
+        # all trials as one block: one prior row per trial
+        block = Belief(np.tile(probs, (n_trials, 1)))
+        post = posterior(block, PilotObservation(y=y, snr=snr), sensing)
+        errs = np.count_nonzero(map_estimate(post) != ks)
         tep = errs / n_trials
         stderr = np.sqrt(tep * (1 - tep) / n_trials)
         assert ub >= tep - 3 * stderr
