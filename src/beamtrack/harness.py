@@ -11,7 +11,6 @@ equal those of a frame-by-frame loop bit for bit.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -222,22 +221,26 @@ def _designs(config: ExperimentConfig, scheduler: BeamScheduler, prior: Belief, 
 
 
 def _log_bounds(
-    priors: np.ndarray, slots: np.ndarray, designs: list, snr: float
+    priors: np.ndarray, slots: np.ndarray, rolls: np.ndarray, bases: list, snr: float
 ) -> np.ndarray:
     """Union bound of each (period, frame) prior against the design it used,
-    one kernel call per design.
+    one kernel call per base design.
 
-    ``priors`` is (n_steps, F, N) and ``slots`` (n_steps, F) indexes
-    ``designs``; returns the (F, n_steps) bounds.
+    ``priors`` is (n_steps, F, N); ``slots`` (n_steps, F) indexes ``bases``
+    and ``rolls`` gives how far each design is rolled from that base.  A
+    design's bound on a prior is its base's bound on the prior rolled back
+    by the design's roll.  Returns the (F, n_steps) bounds.
     """
-    flat = priors.reshape(-1, priors.shape[-1])
+    n = priors.shape[-1]
+    shift = (np.arange(n) + rolls.reshape(-1, 1)) % n
+    rolled = np.take_along_axis(priors.reshape(-1, n), shift, axis=1)
     slots = slots.ravel()
     out = np.empty(len(slots))
-    for k, designed in enumerate(designs):
+    for k, base in enumerate(bases):
         rows = np.flatnonzero(slots == k)
-        sensing = designed.sensing
+        sensing = base.sensing
         out[rows] = kernels.gamma_ub(
-            flat[rows], sensing.gram_abs2, sensing.col_norms_sq, snr
+            rolled[rows], sensing.gram_abs2, sensing.col_norms_sq, snr
         )
     return out.reshape(priors.shape[:2]).T
 
@@ -246,8 +249,8 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
     """Simulate a block of frames, all advancing one period at a time.
 
     The bound never feeds back into tracking, so each designed policy keeps
-    its period priors and the design each (period, frame) used, and logs
-    the bounds once the block's periods are done.
+    its period priors and the base design and roll each (period, frame)
+    used, and logs the bounds once the block's periods are done.
     """
     n_steps = config.p_ttis - 1
     walks = [_trajectory(config, model, frame) for frame in frames]
@@ -264,7 +267,8 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
     gub = {pol: np.full((len(frames), n_steps), np.nan) for pol in config.policies}
     priors = {pol: np.empty((n_steps, len(frames), config.n_grid)) for pol in schedulers}
     slots = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in schedulers}
-    used = {pol: {} for pol in schedulers}  # id(design) -> (slot, design)
+    rolls = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in schedulers}
+    used = {pol: {} for pol in schedulers}  # id(base) -> (slot, base)
     beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in schedulers}
     prev_est = {pol: init for pol in schedulers}
     for step in range(n_steps):
@@ -285,8 +289,12 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
             prior = propagate_prior(beliefs[pol], model)
             priors[pol][step] = prior.probs
             designs, which = _designs(config, schedulers[pol], prior, prev_est[pol])
-            slot = [used[pol].setdefault(id(d), (len(used[pol]), d))[0] for d in designs]
+            slot = [
+                used[pol].setdefault(id(d.base), (len(used[pol]), d.base))[0]
+                for d in designs
+            ]
             slots[pol][step] = np.asarray(slot)[which]
+            rolls[pol][step] = np.array([d.roll for d in designs])[which]
             sensing = SensingMatrix(
                 matrix=np.stack([d.sensing.matrix for d in designs])[which]
             )
@@ -296,8 +304,8 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
             beliefs[pol] = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
             prev_est[pol] = est[pol][:, step] = map_estimate(beliefs[pol])
     for pol in schedulers:
-        designs = [d for _, d in used[pol].values()]
-        gub[pol] = _log_bounds(priors[pol], slots[pol], designs, snr)
+        bases = [d for _, d in used[pol].values()]
+        gub[pol] = _log_bounds(priors[pol], slots[pol], rolls[pol], bases, snr)
 
     out = {}
     for pol in config.policies:
@@ -385,6 +393,9 @@ def run_experiment(
     else:
         bounds = np.linspace(0, config.n_frames, workers + 1, dtype=int)
         blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # Imported here: multiprocessing costs every serial run's import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(_run_frames, [config] * len(blocks), *zip(*blocks))

@@ -1,27 +1,17 @@
 """Numerical kernels for the error-bound pair loop.
 
-For ``gamma_ub`` the compiled extension is preferred when available; the
-numpy fallback in :mod:`beamtrack.kernels.ref` is selected otherwise, or when
-the environment variable ``BEAMTRACK_NO_EXT`` is set (useful for benchmarking
-and debugging).  ``gamma_ub_batch``, which scores many sensing matrices at
-once for beam design, is always the numpy one.
+Every entry point is numpy, from :mod:`beamtrack.kernels.ref`:
+``gamma_ub`` logs the bound for one prior or a block of priors against one
+sensing matrix, and ``gamma_ub_batch`` scores many sensing matrices at once
+for beam design.
 """
-
-import os
 
 import numpy as np
 
 from . import ref
 
-if os.environ.get("BEAMTRACK_NO_EXT"):
-    _impl = ref
-else:
-    try:
-        from . import _pairmu as _impl
-    except ImportError:
-        _impl = ref
-
-IS_COMPILED = bool(getattr(_impl, "IS_COMPILED", False))
+# There is no compiled kernel; benchmark records read this to name the path.
+IS_COMPILED = False
 
 
 def gamma_ub(prior, gram_abs2, norms_sq, snr):
@@ -29,14 +19,11 @@ def gamma_ub(prior, gram_abs2, norms_sq, snr):
 
     A (N,) prior gives a float.  An (F, N) block of priors against the same
     sensing matrix gives the (F,) bounds, each equal bit for bit to the call
-    on its row: the compiled kernel runs once per row, the numpy one scores
-    the block in :func:`ref.gamma_ub_rows`.
+    on its row (see :func:`ref.gamma_ub_rows`).
     """
     prior = np.asarray(prior, dtype=float)
     if prior.ndim == 1:
-        return _impl.gamma_ub(prior, gram_abs2, norms_sq, snr)
-    if getattr(_impl, "IS_COMPILED", False):
-        return np.array([_impl.gamma_ub(row, gram_abs2, norms_sq, snr) for row in prior])
+        return ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
     return ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
 
 

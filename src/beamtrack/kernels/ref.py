@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-IS_COMPILED = False
-
 # Relative threshold below which an eigenvalue counts as zero for the
 # four-way case dispatch.
 ZERO_EIG_RTOL = 1e-10
@@ -169,26 +167,6 @@ def gamma_ub(
     return float(prior[idx] @ sub.sum(axis=1))
 
 
-def _support_sums(prior: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """sum_k p_k sum_n mu_kn of each row of a (G, U) prior block against its
-    (G, U, U) mu, taken on the row's own support in :func:`gamma_ub`'s order:
-    compacted row sums, then one dot product.  Every row has the same
-    support size."""
-    support = prior > 0.0
-    size = int(support[0].sum())
-    # The gathers copy into C order, so each row sum and dot product runs
-    # over contiguous memory as on the scalar kernel's compacted copies;
-    # strided operands are reduced in another order and round differently.
-    if size == prior.shape[1]:
-        sub, probs = mu, prior
-    else:
-        rows = np.arange(len(prior))
-        pos = np.nonzero(support)[1].reshape(len(prior), size)
-        sub = mu[rows[:, None, None], pos[:, :, None], pos[:, None, :]]
-        probs = prior[rows[:, None], pos]
-    return np.matmul(probs[:, None, :], sub.sum(axis=-1)[:, :, None])[:, 0, 0]
-
-
 def _pair_constants(gram_abs2, norms_sq, snr) -> np.ndarray:
     """Prior-independent terms of every hypothesis pair for
     :func:`gamma_ub_rows`, as a (6, N*N) array of flattened pair matrices.
@@ -258,29 +236,35 @@ def gamma_ub_rows(
 
     Each of the (F,) results equals :func:`gamma_ub` on that row bit for bit.
     Every prior-independent pair term is computed once, on the full grid.
-    Rows are scored in groups of equal support size, each group on the
-    union of its rows' supports and at most ``ROW_PAIRS`` pairs at a time;
-    each row is still reduced on its own support.
+    Rows are scored in groups of equal support, each group on that support
+    and at most ``ROW_PAIRS`` pairs at a time.
     """
     prior = np.asarray(prior, dtype=float)
     n = prior.shape[1]
     support = prior > 0.0
-    sizes = support.sum(axis=1)
+    _, first, which, counts = np.unique(
+        np.packbits(support, axis=1),
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    groups = np.split(np.argsort(which.ravel(), kind="stable"), np.cumsum(counts)[:-1])
     out = np.empty(len(prior))
     consts = _pair_constants(gram_abs2, norms_sq, snr)
-    # Zero-prior columns give log 0 = -inf and NaN deltas in the union's
-    # lanes; no row sums them.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for size in np.unique(sizes):
-            rows = np.flatnonzero(sizes == size)
-            cols = np.flatnonzero(support[rows].any(axis=0))
-            if len(cols) == n:
-                sub = consts
-            else:
-                sub = np.take(consts, (cols[:, None] * n + cols).ravel(), axis=1)
-            step = max(1, ROW_PAIRS // max(1, len(cols)) ** 2)
-            for lo in range(0, len(rows), step):
-                chunk = rows[lo : lo + step]
-                block = prior[chunk[:, None], cols]  # C order, see _support_sums
-                out[chunk] = _support_sums(block, _rows_mu(block, sub))
+    for rows, row in zip(groups, first):
+        cols = np.flatnonzero(support[row])
+        if len(cols) == n:
+            sub = consts
+        else:
+            sub = np.take(consts, (cols[:, None] * n + cols).ravel(), axis=1)
+        step = max(1, ROW_PAIRS // max(1, len(cols)) ** 2)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step]
+            # Gathered in C order, so each row sum and dot product runs over
+            # contiguous memory as on gamma_ub's compacted copies; strided
+            # operands are reduced in another order and round differently.
+            block = prior[chunk[:, None], cols]
+            sums = _rows_mu(block, sub).sum(axis=-1)
+            out[chunk] = np.matmul(block[:, None, :], sums[:, :, None])[:, 0, 0]
     return out

@@ -7,7 +7,7 @@ bound on the tracking error probability for the design prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
 
@@ -281,12 +281,23 @@ def optimize_beams(
 
 @dataclass(frozen=True)
 class DesignedBeams:
-    """A beam design bundled with its sensing matrix and bound score."""
+    """A beam design bundled with its sensing matrix and bound score.
+
+    A design derived by a circular shift records its ``base`` design and the
+    ``roll``: its sensing matrix is the base's with the columns rolled by
+    ``roll``.  Any other design is its own base with roll 0.
+    """
 
     beams: BeamMatrix
     sensing: SensingMatrix
     score: float
     codeword_indices: tuple[int, ...] | None = None
+    base: DesignedBeams | None = field(default=None, repr=False, compare=False)
+    roll: int = 0
+
+    def __post_init__(self):
+        if self.base is None:
+            object.__setattr__(self, "base", self)
 
 
 class BeamScheduler:
@@ -296,7 +307,8 @@ class BeamScheduler:
     the SNR fixed at construction).  For the wrap-around Markov model the
     design problem is circularly shift-invariant, so designs for the prior
     propagated from a point estimate are derived from a single base design
-    by a per-element phase ramp.
+    by a per-element phase ramp, whose sensing matrix is the base's with its
+    columns rolled.
     """
 
     def __init__(
@@ -362,11 +374,18 @@ class BeamScheduler:
         indices = None
         if base.codeword_indices is not None:
             indices = tuple(sorted((i + offset) % n for i in base.codeword_indices))
+        # The ramp moves every beam's gain pattern by ``offset`` grid steps, so
+        # the sensing matrix is the base's with its columns rolled.  Rolling
+        # makes that exact; rebuilding from the ramped beams would differ in
+        # the last bits (<= 2.6e-13 at N=64).
+        rolled = np.roll(base.sensing.matrix, offset, axis=-1)
         return DesignedBeams(
             beams=beams,
-            sensing=sensing_matrix(beams, self.codebook),
+            sensing=SensingMatrix(matrix=rolled),
             score=base.score,
             codeword_indices=indices,
+            base=base,
+            roll=offset,
         )
 
     def beams_for_index(self, index: int) -> DesignedBeams:

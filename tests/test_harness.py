@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamtrack import harness, kernels
+from beamtrack.kernels import ref
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.harness import (
     POLICIES,
@@ -21,6 +22,7 @@ from beamtrack.tracking import (
     map_estimate,
     posterior,
     propagate_prior,
+    sensing_matrix,
 )
 
 FAST_PSA = PsaConfig(swarm_size=8, max_iters=20, stall_iters=10)
@@ -192,9 +194,17 @@ class TestRunExperiment:
         assert np.array_equal(serial["directional_tep"], parallel["directional_tep"])
 
 
-def _reference_frames(config):
+def _reference_frames(config, rebuild=False):
     """Frame-by-frame, policy-by-policy tracking loop from the single-Belief
-    functions, each policy drawing its own (seed, frame, tti) noise stream."""
+    functions, each policy drawing its own (seed, frame, tti) noise stream.
+
+    Under wrap dynamics a design for estimate i is the index-0 design rolled
+    by i, so its bound is that of the prior rolled back by i against the
+    index-0 design; other designs use their own Gram data.  ``rebuild=True``
+    gives the path before shifted designs were column rolls: every sensing
+    matrix is rebuilt from the design's beams, and the bound uses that
+    matrix's own Gram data.
+    """
     snr = 10.0 ** (config.snr_db / 10.0)
     codebook = build_codebook(build_grid(config.n_grid), config.n_tx)
     model = build_markov(
@@ -227,17 +237,30 @@ def _reference_frames(config):
                     continue
                 prior = propagate_prior(belief, model)
                 if config.design_prior == "estimate":
-                    sensing = schedulers[pol].beams_for_index(prev_est).sensing
+                    designed = schedulers[pol].beams_for_index(prev_est)
                 else:
-                    sensing = schedulers[pol].beams_for_prior(prior).sensing
+                    designed = schedulers[pol].beams_for_prior(prior)
+                sensing = designed.sensing
+                if rebuild:
+                    sensing = sensing_matrix(designed.beams, codebook)
                 y = gain * sensing.matrix[:, true_idx]
                 if not config.noiseless:
                     y = y + noise(frame, tti, config.m_beams)
                 belief = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
                 est = map_estimate(belief)
-                gub = kernels.gamma_ub(
-                    prior.probs, sensing.gram_abs2, sensing.col_norms_sq, snr
-                )
+                rolled = config.design_prior == "estimate" and config.edge_mode == "wrap"
+                if rolled and not rebuild:
+                    base = schedulers[pol].beams_for_index(0).sensing
+                    gub = ref.gamma_ub(
+                        np.roll(prior.probs, -prev_est),
+                        base.gram_abs2,
+                        base.col_norms_sq,
+                        snr,
+                    )
+                else:
+                    gub = ref.gamma_ub(
+                        prior.probs, sensing.gram_abs2, sensing.col_norms_sq, snr
+                    )
                 out[pol].append((frame, tti, true_idx, est, est != true_idx, gub))
                 prev_est = est
     return {pol: np.array(rows, dtype=TRIAL_DTYPE) for pol, rows in out.items()}
@@ -271,9 +294,11 @@ class TestBlockedLoop:
 
     @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
     def test_one_kernel_call_per_block_design(self, monkeypatch, edge_mode):
-        # bounds are logged at block end, one kernel call per design a block
-        # used: per policy, the distinct point estimates the block's periods
-        # were designed from
+        # bounds are logged at block end, one kernel call per base design a
+        # block used.  Under wrap every design is the index-0 design rolled,
+        # so that is one call per block and designed policy; under truncate,
+        # one per distinct point estimate the block's periods were designed
+        # from
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
         calls = []
         gamma_ub = kernels.gamma_ub
@@ -294,8 +319,26 @@ class TestBlockedLoop:
             designed_from = np.column_stack([init, est[:, :-1]])
             for lo in range(0, cfg.n_frames, 16):
                 expected += len(np.unique(designed_from[lo : lo + 16]))
+        if edge_mode == "wrap":
+            expected = 2 * len(range(0, cfg.n_frames, 16))
         assert len(calls) == expected
         assert sum(calls) == 2 * cfg.n_frames * n_steps
+
+    def test_matches_rebuilt_designs(self, monkeypatch):
+        # Against the path before shifted designs were column rolls, where
+        # each was rebuilt from its phase-ramped beams and logged against its
+        # own Gram data: the same estimates, and bounds within 1e-10 relative
+        # (measured at most 6e-13 on N=64 configs at 10 and 20 dB).
+        monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
+        cfg = _config(n_tx=32, n_grid=64, sigma=5, beta=0.2, p_ttis=6, n_frames=40)
+        got = harness._run_frames(cfg, 0, cfg.n_frames)
+        want = _reference_frames(cfg, rebuild=True)
+        for pol in cfg.policies:
+            for name in ("frame", "tti", "true_index", "est_index", "error"):
+                assert np.array_equal(got[pol][name], want[pol][name]), (pol, name)
+            np.testing.assert_allclose(
+                got[pol]["gamma_ub"], want[pol]["gamma_ub"], rtol=1e-10, atol=0.0
+            )
 
     def test_matches_reference_at_block_size(self):
         n_frames = 2 * harness.BLOCK_FRAMES + 37

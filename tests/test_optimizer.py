@@ -250,6 +250,33 @@ class TestScheduler:
             score_k = beam_objective(designed.beams, sched.codebook, prior_k, 10.0)
             assert score_k == pytest.approx(designed.score, rel=1e-10)
 
+    @pytest.mark.parametrize("policy", ["psa_optimized", "directional_tep"])
+    @pytest.mark.parametrize("n,n_tx", [(8, 4), (64, 32)])
+    def test_shift_is_column_roll(self, policy, n, n_tx):
+        # a shifted design's sensing matrix is its base's with the columns
+        # rolled, bit for bit, and within 1e-12 of the one rebuilt from the
+        # phase-ramped beams
+        model = build_markov(n, 0.5, 2)
+        cb = build_codebook(build_grid(n), n_tx)
+        sched = BeamScheduler(model, cb, 10.0, 2, policy, psa_config=SMALL)
+        base = sched.beams_for_index(0)
+        assert base.base is base and base.roll == 0
+        for k in sorted({1, 3, n // 2, n - 1}):
+            shifted = sched.beams_for_index(k)
+            assert shifted.base is base and shifted.roll == k
+            rolled = np.roll(base.sensing.matrix, k, axis=-1)
+            assert np.array_equal(shifted.sensing.matrix, rolled)
+            rebuilt = sensing_matrix(shifted.beams, cb).matrix
+            np.testing.assert_allclose(shifted.sensing.matrix, rebuilt, rtol=0, atol=1e-12)
+
+    def test_unshifted_designs_are_own_base(self):
+        truncate = self._scheduler("directional_tep", edge_mode="truncate")
+        for designed in (
+            truncate.beams_for_index(3),
+            self._scheduler("psa_optimized").beams_for_prior(Belief.uniform(8)),
+        ):
+            assert designed.base is designed and designed.roll == 0
+
     def test_directional_shift_indices(self):
         sched = self._scheduler("directional_tep")
         base = sched.beams_for_index(0)
