@@ -16,7 +16,7 @@ from .arraymodel import (
     physical_to_normalized,
     steering_vector,
 )
-from .harness import ExperimentConfig, SummaryRow, TrialRecord, run_experiment, sweep
+from .harness import ExperimentConfig, SummaryRow, run_experiment, sweep
 from .optimizer import (
     BeamScheduler,
     OptimizationResult,
@@ -24,7 +24,6 @@ from .optimizer import (
     optimize_beams,
     select_directional_pair,
 )
-from .tepbound import PairTerm, TepBreakdown, mu_pair, pair_eigenvalues, tep_upper_bound
 from .tracking import (
     Belief,
     BeamMatrix,

@@ -32,7 +32,6 @@ from .tracking import (
 __all__ = [
     "POLICIES",
     "ExperimentConfig",
-    "TrialRecord",
     "TRIAL_DTYPE",
     "SummaryRow",
     "run_experiment",
@@ -59,16 +58,6 @@ TRIAL_DTYPE = np.dtype(
         ("gamma_ub", "f8"),
     ]
 )
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    frame: int
-    tti: int
-    true_index: int
-    est_index: int
-    error: bool
-    gamma_ub: float
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Numerical kernels for the error-bound pair loop.
 
-Every entry point is numpy, from :mod:`beamtrack.kernels.ref`:
+Every entry point is numpy, from :mod:`beamtrack.kernels.ref`, and all run
+one folded mu formula (``ref._pair_constants`` evaluated by ``ref._mu``):
 ``gamma_ub`` logs the bound for one prior or a block of priors against one
 sensing matrix, and ``gamma_ub_batch`` scores many sensing matrices at once
 for beam design.
@@ -27,16 +28,6 @@ def gamma_ub(prior, gram_abs2, norms_sq, snr):
     return ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
 
 
-# Always-available reference entry points (diagnostics and tests).
 gamma_ub_batch = ref.gamma_ub_batch
-pair_terms = ref.pair_terms
-mu_cases = ref.mu_cases
 
-__all__ = [
-    "IS_COMPILED",
-    "gamma_ub",
-    "gamma_ub_batch",
-    "pair_terms",
-    "mu_cases",
-    "ref",
-]
+__all__ = ["IS_COMPILED", "gamma_ub", "gamma_ub_batch", "ref"]

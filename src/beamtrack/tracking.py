@@ -2,8 +2,9 @@
 
 One tracking period: propagate the previous posterior through the Markov
 chain, transmit M training beams, and update the belief from the received
-pilot vector.  All likelihood algebra uses the rank-one covariance closed
-forms from :mod:`beamtrack.linalg` and runs in the log domain.
+pilot vector.  All likelihood algebra uses the Sherman-Morrison and
+determinant-lemma closed forms of the rank-one-plus-identity covariance (see
+:func:`log_likelihood_scores`) and runs in the log domain.
 
 Every step also takes a block of F frames at once: an (F, N) belief, (F, M)
 pilot vectors and an (F, M, N) sensing matrix, one row or slice per frame.

@@ -13,9 +13,14 @@ import pytest
 from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import main as cli_main
 from beamtrack.harness import ExperimentConfig, run_experiment, sweep
-from beamtrack.linalg import covariance, covariance_det, covariance_inverse
-from beamtrack.tepbound import mu_pair
-from beamtrack.tracking import BeamMatrix, sensing_matrix
+from beamtrack.kernels import ref
+from beamtrack.tracking import (
+    BeamMatrix,
+    PilotObservation,
+    SensingMatrix,
+    log_likelihood_scores,
+    sensing_matrix,
+)
 
 N_TTIS = 9  # tracked periods per frame with the default p_ttis = 10
 
@@ -27,6 +32,11 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> bool:
         line += f" ({detail})"
     print(line)
     return ok
+
+
+def _covariance(s: np.ndarray, snr: float) -> np.ndarray:
+    """Dense s s^H + I/snr, the pilot covariance under hypothesis s."""
+    return np.outer(s, s.conj()) + np.eye(len(s)) / snr
 
 
 def _frame_errors(trials: np.ndarray, n_frames: int) -> np.ndarray:
@@ -60,10 +70,13 @@ class TestAcceptance:
             triples.append((0.0, -rng.uniform(0.1, 5), rng.uniform(-3, 3)))
         for _ in range(25):  # degenerate zero form
             triples.append((0.0, 0.0, rng.uniform(-3, 3)))
+        # the bound kernel's own folded mu at each (lam1, lam2, delta)
+        lam1, lam2, delta = np.array(triples).T
+        mu = ref._mu(delta, *ref._fold(lam1, lam2))
         worst = 0.0
-        for l1, l2, d in triples:
+        for (l1, l2, d), closed in zip(triples, mu):
             emp = float(np.mean(l1 * draws[0] + l2 * draws[1] <= d))
-            worst = max(worst, abs(mu_pair(l1, l2, d) - emp))
+            worst = max(worst, abs(closed - emp))
         ok = worst <= 3e-3
         assert _report(
             1,
@@ -82,7 +95,9 @@ class TestAcceptance:
             s = sensing_matrix(beams, cb).matrix
             k, n = rng.choice(64, size=2, replace=False)
             snr = 10.0 ** rng.uniform(-1, 2.5)
-            diff = covariance_inverse(s[:, n], snr) - covariance_inverse(s[:, k], snr)
+            diff = np.linalg.inv(_covariance(s[:, n], snr)) - np.linalg.inv(
+                _covariance(s[:, k], snr)
+            )
             ev = np.linalg.eigvalsh(diff)
             thresh = 1e-8 * max(np.abs(ev).max(), 1e-300)
             significant = ev[np.abs(ev) > thresh]
@@ -229,19 +244,26 @@ class TestAcceptance:
         )
 
     def test_criterion_8_rank_one_identities(self):
+        # The tracker's Sherman-Morrison / determinant-lemma log-likelihoods
+        # against the dense complex-Gaussian log-density, with the common
+        # M*log(snr) term removed, for every hypothesis of a random matrix.
         rng = np.random.default_rng(800)
         worst = 0.0
         for _ in range(1000):
             m = int(rng.integers(1, 7))
-            s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            s = rng.standard_normal((m, 8)) + 1j * rng.standard_normal((m, 8))
             snr = 10.0 ** rng.uniform(-2, 3)
-            sigma = covariance(s, snr)
-            inv_err = np.abs(
-                covariance_inverse(s, snr) - np.linalg.inv(sigma)
-            ).max() / max(1.0, np.abs(np.linalg.inv(sigma)).max())
-            dense_det = float(np.linalg.det(sigma).real)
-            det_err = abs(covariance_det(s, snr) - dense_det) / abs(dense_det)
-            worst = max(worst, inv_err, det_err)
+            gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+            noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            y = gain * s[:, rng.integers(8)] + noise * np.sqrt(0.5 / snr)
+            got = log_likelihood_scores(
+                PilotObservation(y=y, snr=snr), SensingMatrix(matrix=s)
+            )
+            for k in range(8):
+                sigma = _covariance(s[:, k], snr)
+                quad = float((y.conj() @ np.linalg.inv(sigma) @ y).real)
+                dense = -quad - np.linalg.slogdet(sigma)[1] - m * np.log(snr)
+                worst = max(worst, abs(got[k] - dense) / abs(dense))
         ok = worst <= 1e-9
         assert _report(
             8,

@@ -8,9 +8,37 @@ from hypothesis import strategies as st
 from beamtrack import kernels
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.kernels import ref
-from beamtrack.linalg import covariance_det, covariance_inverse
-from beamtrack.tepbound import mu_pair
 from beamtrack.tracking import BeamMatrix, sensing_matrix
+
+
+def _mu_four_cases(l1, l2, d):
+    """Scalar P(l1*E1 + l2*E2 <= d), E_i iid unit exponentials, by the four
+    cases of which eigenvalue is nonzero (reference for the folded mu)."""
+    l1, l2, d = np.float64(l1), np.float64(l2), np.float64(d)
+    tol = ref.ZERO_EIG_RTOL * max(1.0, abs(l1), abs(l2))
+    pos, neg = l1 > tol, l2 < -tol
+    if pos and neg:
+        if d <= 0:
+            value = l2 / (l2 - l1) * np.exp(-d / l2)
+        else:
+            value = 1.0 + l1 / (l2 - l1) * np.exp(-d / l1)
+    elif pos:
+        value = 1.0 - np.exp(-d / l1) if d > 0 else 0.0
+    elif neg:
+        value = np.exp(-d / l2) if d < 0 else 1.0
+    else:
+        value = 1.0 if d >= 0 else 0.0
+    return min(max(value, 0.0), 1.0)
+
+
+def _folded_mu(lam1, lam2, delta):
+    """The kernel's folded mu at given eigenvalues and thresholds."""
+    lam1, lam2, delta = (np.asarray(x, dtype=float) for x in (lam1, lam2, delta))
+    return ref._mu(delta, *ref._fold(lam1, lam2))
+
+
+def _covariance(s, snr):
+    return np.outer(s, s.conj()) + np.eye(len(s)) / snr
 
 
 def _random_problem(rng, m, n):
@@ -32,24 +60,23 @@ def _loop_gamma_ub(s, prior, snr):
         for j in range(n):
             if j == k or prior[j] == 0:
                 continue
-            diff = covariance_inverse(s[:, j], snr) - covariance_inverse(s[:, k], snr)
-            sig_k = np.outer(s[:, k], s[:, k].conj()) + np.eye(s.shape[0]) / snr
+            sig_k, sig_j = _covariance(s[:, k], snr), _covariance(s[:, j], snr)
+            diff = np.linalg.inv(sig_j) - np.linalg.inv(sig_k)
             w, u = np.linalg.eigh(sig_k)
             half = np.diag(np.sqrt(w))
             ev = np.linalg.eigvalsh(half @ u.conj().T @ diff @ u @ half)
-            delta = np.log(
-                prior[j] * covariance_det(s[:, k], snr)
-                / (prior[k] * covariance_det(s[:, j], snr))
+            delta = np.log(prior[j] / prior[k]) + (
+                np.linalg.slogdet(sig_k)[1] - np.linalg.slogdet(sig_j)[1]
             )
-            total += prior[k] * mu_pair(max(ev.max(), 0), min(ev.min(), 0), delta)
+            total += prior[k] * _mu_four_cases(max(ev.max(), 0), min(ev.min(), 0), delta)
     return total
 
 
 class TestKernelAgreement:
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 16), (2, 64), (4, 24)])
     def test_impls_agree(self, m, n):
-        # the one-prior, block and design-batch entries are separate numpy
-        # paths; each agrees with the one-prior kernel
+        # the one-prior, block and design-batch entries share the folded
+        # formula but reduce differently; each agrees with the one-prior one
         rng = np.random.default_rng(n)
         problems = [_random_problem(rng, m, n) for _ in range(20)]
         snrs = 10.0 ** rng.uniform(-1, 3, size=len(problems))
@@ -84,16 +111,19 @@ class TestKernelAgreement:
             got = kernels.gamma_ub(prior, gram_abs2, norms_sq, snr)
             assert got == pytest.approx(expected, rel=1e-8)
 
-    def test_mu_cases_match_scalar(self):
+    def test_folded_mu_matches_scalar(self):
+        # the vectorized folded formula against the scalar four-case one,
+        # including delta == 0 exactly, where mu steps
         rng = np.random.default_rng(9)
         lam1 = rng.uniform(0, 5, size=200)
         lam2 = -rng.uniform(0, 5, size=200)
         lam1[::5] = 0.0
         lam2[::7] = 0.0
         delta = rng.uniform(-5, 5, size=200)
-        vec = kernels.mu_cases(lam1, lam2, delta)
+        delta[::11] = 0.0
+        vec = _folded_mu(lam1, lam2, delta)
         for i in range(200):
-            assert vec[i] == pytest.approx(mu_pair(lam1[i], lam2[i], delta[i]), abs=1e-14)
+            assert vec[i] == pytest.approx(_mu_four_cases(lam1[i], lam2[i], delta[i]), abs=1e-14)
 
 
 class TestGammaUbBatch:
@@ -158,7 +188,7 @@ class TestGammaUbBatch:
 
 
 class TestGammaUbRows:
-    """The block logging entry equals per-row ref.gamma_ub bit for bit."""
+    """The block logging entry equals a one-row call on each row bit for bit."""
 
     def _block(self, rng, m, n, f=9):
         s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -258,22 +288,46 @@ class TestGammaUbRows:
         off = ~np.eye(8, dtype=bool)
         for case in (pos1 & neg2, pos1 & ~neg2, ~pos1 & neg2, ~pos1 & ~neg2):
             assert (case & off).any()
+        logdet = np.log1p(10.0 * norms_sq)
         prior = rng.random((4, 8))
         prior[:, 2] = prior[:, 0]
         prior[1, 1] = prior[1, 0]
         prior[2, 3:] = 0.0
         prior /= prior.sum(axis=1, keepdims=True)
         consts = ref._pair_constants(gram_abs2, norms_sq, 10.0)
+        ties = 0
         for row in prior:
             idx = np.flatnonzero(row > 0)
-            sub = np.take(consts, (idx[:, None] * 8 + idx).ravel(), axis=1)
-            got = ref._rows_mu(row[idx][None], sub)[0]
-            want = ref.pair_terms(
-                row[idx], gram_abs2[np.ix_(idx, idx)], norms_sq[idx], 10.0
-            )[3]
+            pairs = (idx[:, None] * 8 + idx).ravel()
+            got = ref._rows_mu(row[idx][None], [term[pairs] for term in consts])[0]
+            log_prior = np.log(row[idx])
+            want = np.zeros((len(idx), len(idx)))
+            for a, k in enumerate(idx):
+                for b, n in enumerate(idx):
+                    if k != n:
+                        delta = (log_prior[b] - log_prior[a]) + (logdet[k] - logdet[n])
+                        ties += delta == 0.0
+                        want[a, b] = _mu_four_cases(lam1[k, n], lam2[k, n], delta)
             assert np.array_equal(got, want)
+        assert ties > 0
         got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
         assert got.tolist() == [ref.gamma_ub(r, gram_abs2, norms_sq, 10.0) for r in prior]
+
+    def test_stacked_constants_match_per_gram(self):
+        # constants folded over a stack of Grams equal each Gram's own
+        rng = np.random.default_rng(11)
+        s = rng.standard_normal((5, 3, 9)) + 1j * rng.standard_normal((5, 3, 9))
+        s[0, :, 1] = s[0, :, 0]
+        s[1, :, 2] = 2.0 * s[1, :, 0]
+        norms_sq = np.sum(np.abs(s) ** 2, axis=-2)
+        gram_abs2 = np.abs(np.swapaxes(s.conj(), -1, -2) @ s) ** 2
+        for snr in (1e-3, 10.0, 1e6):
+            stacked = ref._pair_constants(gram_abs2, norms_sq, snr)
+            assert [term.shape for term in stacked] == [(5, 81)] * 6
+            for b in range(5):
+                own = ref._pair_constants(gram_abs2[b], norms_sq[b], snr)
+                for term, want in zip(stacked, own):
+                    assert np.array_equal(term[b], want)
 
     def test_pair_eigs_once_per_call(self, monkeypatch):
         calls = []

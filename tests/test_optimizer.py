@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from beamtrack import optimizer
+from beamtrack import kernels, optimizer
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.optimizer import (
     BeamScheduler,
@@ -17,7 +17,6 @@ from beamtrack.optimizer import (
     select_directional_pair,
     steering_phases,
 )
-from beamtrack.tepbound import tep_upper_bound
 from beamtrack.tracking import Belief, BeamMatrix, sensing_matrix
 
 SMALL = PsaConfig(swarm_size=12, max_iters=40, seed=0)
@@ -160,7 +159,8 @@ class TestDirectionalPair:
         best, best_score = None, np.inf
         for subset in combinations(range(n), m):
             beams = BeamMatrix(phases=steering_phases(cb, subset))
-            score = tep_upper_bound(prior, sensing_matrix(beams, cb), snr).gamma_ub
+            sensing = sensing_matrix(beams, cb)
+            score = kernels.gamma_ub(probs, sensing.gram_abs2, sensing.col_norms_sq, snr)
             if score < best_score:
                 best, best_score = subset, score
         got, got_score = select_directional_pair(prior, cb, snr, m)

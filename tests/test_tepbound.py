@@ -1,16 +1,15 @@
-"""Pair eigenvalue, tail probability, and union bound tests."""
+"""Pair eigenvalue, tail probability, and union bound tests.
+
+Each is checked on the bound kernel the run uses, against dense
+linear-algebra oracles built with ``np.linalg``.
+"""
 
 import numpy as np
 import pytest
 
+from beamtrack import kernels
 from beamtrack.arraymodel import build_codebook, build_grid
-from beamtrack.linalg import covariance, covariance_det, covariance_inverse
-from beamtrack.tepbound import (
-    delta_threshold,
-    mu_pair,
-    pair_eigenvalues,
-    tep_upper_bound,
-)
+from beamtrack.kernels import ref
 from beamtrack.tracking import (
     Belief,
     BeamMatrix,
@@ -20,6 +19,43 @@ from beamtrack.tracking import (
     posterior,
     sensing_matrix,
 )
+
+
+def covariance(s, snr):
+    return np.outer(s, s.conj()) + np.eye(len(s)) / snr
+
+
+def covariance_inverse(s, snr):
+    return np.linalg.inv(covariance(s, snr))
+
+
+def pair_eigenvalues(s_k, s_n, snr):
+    """The kernel's (lam1, lam2) of one pair, from the two-column Gram."""
+    pair = np.stack([s_k, s_n], axis=1)
+    norms_sq = np.sum(np.abs(pair) ** 2, axis=0)
+    gram_abs2 = np.abs(pair.conj().T @ pair) ** 2
+    lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, snr)
+    return float(lam1[0, 1]), float(lam2[0, 1])
+
+
+def mu_pair(lam1, lam2, delta):
+    """The kernel's folded mu at given eigenvalues and threshold(s)."""
+    lam1, lam2, delta = (np.asarray(x, dtype=float) for x in (lam1, lam2, delta))
+    mu = ref._mu(delta, *ref._fold(lam1, lam2))
+    return float(mu) if mu.ndim == 0 else mu
+
+
+def gamma_ub(probs, sensing, snr):
+    return kernels.gamma_ub(probs, sensing.gram_abs2, sensing.col_norms_sq, snr)
+
+
+def pair_mu_matrix(probs, sensing, snr):
+    """Per-pair mu of the kernel on the prior's support (true x competitor)."""
+    idx = np.flatnonzero(probs > 0)
+    consts = ref._pair_constants(
+        sensing.gram_abs2[np.ix_(idx, idx)], sensing.col_norms_sq[idx], snr
+    )
+    return idx, ref._rows_mu(probs[idx][None], consts)[0]
 
 
 def _whitened_difference(s_k, s_n, snr):
@@ -91,10 +127,6 @@ class TestPairEigenvalues:
             assert len(significant) <= 2
             assert np.sum(significant > 0) <= 1 and np.sum(significant < 0) <= 1
 
-    def test_invalid_snr(self):
-        with pytest.raises(ValueError):
-            pair_eigenvalues(np.ones(2), np.ones(2), 0.0)
-
 
 class TestMuPair:
     def test_symmetric_half(self):
@@ -127,15 +159,17 @@ class TestMuPair:
             l2 = -rng.uniform(0, 5)
             span = 50.0 * max(l1, -l2, 1.0)
             deltas = np.linspace(-span, span, 201)
-            vals = [mu_pair(l1, l2, d) for d in deltas]
+            vals = mu_pair(l1, l2, deltas)
             assert np.all(np.diff(vals) >= -1e-12)
             assert vals[0] < 1e-3 and vals[-1] > 1 - 1e-3
 
     def test_limits(self):
-        assert mu_pair(1.0, -1.0, -np.inf) == 0.0
-        assert mu_pair(1.0, -1.0, np.inf) == 1.0
-        assert mu_pair(2.0, 0.0, -np.inf) == 0.0
-        assert mu_pair(0.0, -2.0, np.inf) == 1.0
+        # the kernel only sees finite deltas (zero priors are cut away), so
+        # the tails are checked at the extreme finite ones
+        assert mu_pair(1.0, -1.0, -1e300) == 0.0
+        assert mu_pair(1.0, -1.0, 1e300) == 1.0
+        assert mu_pair(2.0, 0.0, -1e300) == 0.0
+        assert mu_pair(0.0, -2.0, 1e300) == 1.0
 
     def test_case_continuity(self):
         # lam2 -> 0- converges to the lam2 = 0 case away from delta = 0
@@ -145,37 +179,87 @@ class TestMuPair:
             assert abs(near - limit) < 1e-4
 
     def test_invalid_signs(self):
-        with pytest.raises(ValueError):
-            mu_pair(-0.5, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            mu_pair(1.0, 0.5, 0.0)
+        # the folded mu assumes lam1 >= 0 >= lam2; the kernel's eigenvalues
+        # never break it, on random, aligned and scaled pairs at any SNR
+        rng = np.random.default_rng(7)
+        s = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+        s[:, 1] = s[:, 0]
+        s[:, 2] = 3.0 * s[:, 0]
+        s[:, 3] = 1e-8 * s[:, 4]
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        for snr in (1e-3, 1.0, 10.0, 1e3, 1e6):
+            lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, snr)
+            assert (lam1 >= 0.0).all() and (lam2 <= 0.0).all()
 
 
 class TestDeltaThreshold:
+    """delta = ln(p_n |Sigma_k| / (p_k |Sigma_n|)): the log prior ratio plus
+    the log-determinant row of the kernel's pair constants."""
+
     def test_equal_everything(self):
-        assert delta_threshold(0.3, 0.3, 2.0, 2.0) == 0.0
+        s = np.array([[1 + 2j, 1 + 2j], [0.5 - 1j, 0.5 - 1j]])
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        logdet = ref._pair_constants(gram_abs2, norms_sq, 3.0)[0]
+        assert (logdet == 0.0).all()
+        # equal priors on equal columns: delta == 0, and both eigenvalues
+        # vanish, so mu = P(0 <= 0) = 1
+        assert kernels.gamma_ub(np.full(2, 0.5), gram_abs2, norms_sq, 3.0) == 1.0
 
     def test_zero_competitor_prior(self):
-        assert delta_threshold(0.4, 0.0, 1.0, 1.0) == -np.inf
-        assert mu_pair(1.0, -1.0, delta_threshold(0.4, 0.0, 1.0, 1.0)) == 0.0
+        # a zero-prior competitor takes no part: its Gram data cannot move
+        # the bound
+        rng = np.random.default_rng(1)
+        mat = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        probs = rng.random(6)
+        probs[3] = 0.0
+        probs /= probs.sum()
+        base = gamma_ub(probs, SensingMatrix(matrix=mat), 5.0)
+        mat[:, 3] = mat[:, 0]
+        moved = SensingMatrix(matrix=mat)
+        assert gamma_ub(probs, moved, 5.0) == base
+        batch = kernels.gamma_ub_batch(
+            probs, moved.gram_abs2[None], moved.col_norms_sq[None], 5.0
+        )
+        assert batch[0] == pytest.approx(base, rel=1e-12)
 
     def test_zero_true_prior(self):
-        assert delta_threshold(0.0, 0.4, 1.0, 1.0) == np.inf
+        # a zero-prior true hypothesis adds no term: every entry equals
+        # its call restricted to the support
+        rng = np.random.default_rng(2)
+        mat = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+        probs = rng.random(7)
+        probs[[0, 5]] = 0.0
+        probs /= probs.sum()
+        idx = np.flatnonzero(probs)
+        full = SensingMatrix(matrix=mat)
+        cut = SensingMatrix(matrix=mat[:, idx])
+        assert gamma_ub(probs, full, 9.0) == gamma_ub(probs[idx], cut, 9.0)
+        both = kernels.gamma_ub_batch(
+            probs, full.gram_abs2[None], full.col_norms_sq[None], 9.0
+        )
+        alone = kernels.gamma_ub_batch(
+            probs[idx], cut.gram_abs2[None], cut.col_norms_sq[None], 9.0
+        )
+        assert both[0] == alone[0]
 
     def test_hand_value(self):
-        assert delta_threshold(0.3, 0.1, 2.0, 1.0) == pytest.approx(np.log(2 / 3))
-
-    def test_invalid_determinant(self):
-        with pytest.raises(ValueError):
-            delta_threshold(0.5, 0.5, -1.0, 1.0)
+        # snr*q = (1, 0) gives |Sigma_0| / |Sigma_1| = 2; priors (0.3, 0.1)
+        s = np.array([[1.0 + 0j, 0.0]])
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        logdet = ref._pair_constants(gram_abs2, norms_sq, 1.0)[0].reshape(2, 2)
+        delta = np.log(0.1) - np.log(0.3) + logdet[0, 1]
+        assert delta == pytest.approx(np.log(2 / 3))
 
 
 class TestUpperBound:
     def test_indistinguishable_hypotheses(self):
         col = np.array([1 + 1j, 2 - 1j])
         sensing = SensingMatrix(matrix=np.tile(col[:, None], (1, 2)))
-        out = tep_upper_bound(Belief(np.array([0.5, 0.5])), sensing, 10.0)
-        assert out.gamma_ub == pytest.approx(1.0, abs=1e-12)
+        out = gamma_ub(np.array([0.5, 0.5]), sensing, 10.0)
+        assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_high_snr_orthogonal(self):
         n_tx = 8
@@ -184,13 +268,13 @@ class TestUpperBound:
         beams = BeamMatrix.from_matrix(cb.matrix[:, :2])
         sensing = sensing_matrix(beams, cb)
         # a point-mass prior zeroes every competitor weight, so the bound is 0
-        out = tep_upper_bound(Belief.point_mass(n_tx, 0), sensing, 1000.0)
-        assert out.gamma_ub == 0.0
+        out = gamma_ub(Belief.point_mass(n_tx, 0).probs, sensing, 1000.0)
+        assert out == 0.0
         # a nearly concentrated prior keeps the bound small but positive
         probs = np.full(n_tx, 0.01 / (n_tx - 1))
         probs[0] = 0.99
-        out = tep_upper_bound(Belief(probs), sensing, 1000.0)
-        assert 0 < out.gamma_ub < 0.05
+        out = gamma_ub(probs, sensing, 1000.0)
+        assert 0 < out < 0.05
 
     def test_terms_match_total(self):
         rng = np.random.default_rng(4)
@@ -199,35 +283,38 @@ class TestUpperBound:
         probs = rng.random(6)
         probs[2] = 0.0
         probs /= probs.sum()
-        prior = Belief(probs)
-        out = tep_upper_bound(prior, sensing, 7.0, include_terms=True)
-        total = sum(prior.probs[t.kappa] * t.mu for t in out.terms)
-        assert total == pytest.approx(out.gamma_ub, abs=1e-12)
-        assert all(t.lambda1 >= 0 >= t.lambda2 for t in out.terms)
-        assert all(0 <= t.mu <= 1 for t in out.terms)
-        assert all(t.kappa != 2 for t in out.terms)
+        idx, mu = pair_mu_matrix(probs, sensing, 7.0)
+        assert 2 not in idx
+        total = sum(probs[k] * mu[a].sum() for a, k in enumerate(idx))
+        assert total == pytest.approx(gamma_ub(probs, sensing, 7.0), abs=1e-12)
+        assert ((0 <= mu) & (mu <= 1)).all()
+        assert (np.diag(mu) == 0.0).all()
+        lam1, lam2 = ref.pair_eigs(sensing.gram_abs2, sensing.col_norms_sq, 7.0)
+        assert (lam1 >= 0).all() and (lam2 <= 0).all()
 
     def test_terms_match_scalar_ops(self):
-        # per-pair diagnostics agree with the scalar closed forms
+        # per-pair kernel terms agree with the pair taken on its own: its
+        # two-column eigenvalues, the dense log-determinants and the mu
         rng = np.random.default_rng(5)
         mat = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         sensing = SensingMatrix(matrix=mat)
         probs = rng.random(4)
         probs /= probs.sum()
         snr = 12.0
-        out = tep_upper_bound(Belief(probs), sensing, snr, include_terms=True)
-        for t in out.terms:
-            l1, l2 = pair_eigenvalues(mat[:, t.kappa], mat[:, t.n], snr)
-            assert t.lambda1 == pytest.approx(l1, abs=1e-10)
-            assert t.lambda2 == pytest.approx(l2, abs=1e-10)
-            d = delta_threshold(
-                probs[t.kappa],
-                probs[t.n],
-                covariance_det(mat[:, t.kappa], snr),
-                covariance_det(mat[:, t.n], snr),
-            )
-            assert t.delta == pytest.approx(d, abs=1e-10)
-            assert t.mu == pytest.approx(mu_pair(l1, l2, d), abs=1e-12)
+        lam1, lam2 = ref.pair_eigs(sensing.gram_abs2, sensing.col_norms_sq, snr)
+        _, mu = pair_mu_matrix(probs, sensing, snr)
+        for k in range(4):
+            for n in range(4):
+                if n == k:
+                    continue
+                l1, l2 = pair_eigenvalues(mat[:, k], mat[:, n], snr)
+                assert lam1[k, n] == pytest.approx(l1, abs=1e-10)
+                assert lam2[k, n] == pytest.approx(l2, abs=1e-10)
+                d = np.log(probs[n] / probs[k]) + (
+                    np.linalg.slogdet(covariance(mat[:, k], snr))[1]
+                    - np.linalg.slogdet(covariance(mat[:, n], snr))[1]
+                )
+                assert mu[k, n] == pytest.approx(mu_pair(l1, l2, d), abs=1e-12)
 
     def test_bound_dominates_monte_carlo(self):
         # simulate the single-period detection problem the bound describes
@@ -238,9 +325,8 @@ class TestUpperBound:
         sensing = sensing_matrix(beams, cb)
         probs = rng.random(12)
         probs /= probs.sum()
-        prior = Belief(probs)
         snr = 8.0
-        ub = tep_upper_bound(prior, sensing, snr).gamma_ub
+        ub = gamma_ub(probs, sensing, snr)
         n_trials = 100_000
         ks = rng.choice(12, size=n_trials, p=probs)
         # per trial, in draw order: gain re, gain im, noise re (2), noise im (2)
@@ -257,9 +343,10 @@ class TestUpperBound:
         stderr = np.sqrt(tep * (1 - tep) / n_trials)
         assert ub >= tep - 3 * stderr
 
-    def test_clamped_value(self):
+    def test_unclamped_value(self):
+        # the raw union sum may exceed 1; three indistinguishable
+        # hypotheses each lose to both others
         col = np.array([1 + 1j, 2 - 1j])
         sensing = SensingMatrix(matrix=np.tile(col[:, None], (1, 3)))
-        out = tep_upper_bound(Belief.uniform(3), sensing, 10.0)
-        assert out.gamma_ub == pytest.approx(2.0, abs=1e-12)
-        assert out.clamped == 1.0
+        out = gamma_ub(Belief.uniform(3).probs, sensing, 10.0)
+        assert out == pytest.approx(2.0, abs=1e-12)

@@ -15,12 +15,6 @@ from beamtrack.harness import (
     _trajectory,
     run_experiment,
 )
-from beamtrack.linalg import (
-    covariance,
-    covariance_det,
-    covariance_inverse,
-    covariance_logdet,
-)
 from beamtrack.tracking import (
     Belief,
     BeamMatrix,
@@ -150,7 +144,8 @@ class TestObservation:
         noise = _noise(_noise_normals(config, range(n), 2, 4), 2, snr)
         ys = gains[:, None] * s.matrix[:, kappa] + noise
         emp = ys.T @ ys.conj() / n
-        expected = covariance(s.matrix[:, kappa], snr)
+        col = s.matrix[:, kappa]
+        expected = np.outer(col, col.conj()) + np.eye(2) / snr
         # per-entry standard error scales with the diagonal magnitudes
         tol = 3 * np.max(np.abs(expected)) / np.sqrt(n) * 2
         assert np.max(np.abs(emp - expected)) < tol
@@ -205,18 +200,22 @@ class TestPropagate:
 
 class TestShermanMorrison:
     def test_inverse_and_determinant(self):
+        # log_likelihood_scores uses the Sherman-Morrison inverse and the
+        # determinant lemma; each hypothesis's score equals the dense
+        # complex-Gaussian log-density minus the common M*log(snr)
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            m = rng.integers(1, 5)
-            s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            m = int(rng.integers(1, 5))
+            sensing = _random_sensing(rng, m, 6)
             snr = 10.0 ** rng.uniform(-1, 3)
-            sig = covariance(s, snr)
-            prod = sig @ covariance_inverse(s, snr)
-            assert np.max(np.abs(prod - np.eye(m))) < 1e-9
-            dense_det = float(np.linalg.det(sig).real)
-            assert covariance_det(s, snr) == pytest.approx(dense_det, rel=1e-9)
-            dense_logdet = float(np.linalg.slogdet(sig)[1])
-            assert covariance_logdet(s, snr) == pytest.approx(dense_logdet, rel=1e-9)
+            y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            got = log_likelihood_scores(PilotObservation(y=y, snr=snr), sensing)
+            for k in range(6):
+                s = sensing.matrix[:, k]
+                sig = np.outer(s, s.conj()) + np.eye(m) / snr
+                quad = float((y.conj() @ np.linalg.inv(sig) @ y).real)
+                dense = -quad - np.linalg.slogdet(sig)[1] - m * np.log(snr)
+                assert got[k] == pytest.approx(dense, rel=1e-9)
 
 
 class TestPosterior:
