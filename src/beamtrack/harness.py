@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("p_ttis must be >= 2")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def policies(self) -> tuple[str, ...]:
@@ -161,36 +163,49 @@ def beam_cycling_estimate(y: np.ndarray, sensing: SensingMatrix) -> int | np.nda
     return int(est) if y.ndim == 1 else est
 
 
-def _trajectory(config: ExperimentConfig, model, frame: int):
-    """Shared-per-frame channel realization: index walk plus per-period gains.
+def _trajectories(config: ExperimentConfig, model, frames) -> list[tuple]:
+    """Shared-per-frame channel realizations: index walk plus per-period gains.
 
-    Each hop draws one uniform against the current row's transition CDF,
-    which is what ``rng.choice(n, p=row)`` does, so the walk is the same.
+    Frame f draws from ``default_rng([seed, f, 0])``; the streams of all
+    frames are seeded in one step.  Each hop draws one uniform against the
+    current row's transition CDF, which is what ``rng.choice(n, p=row)``
+    does, so the walk is the same.
     """
-    rng = np.random.default_rng([config.seed, frame, 0])
+    from .streams import generators
+
     cdf = model.transition_cdf
-    init = int(rng.integers(model.n_points))
-    indices = [init]
-    gains = []
-    for _ in range(2, config.p_ttis + 1):
-        indices.append(int(cdf[indices[-1]].searchsorted(rng.random(), side="right")))
-        re, im = rng.standard_normal(2)
-        gains.append(complex(re, im) / np.sqrt(2.0))
-    return init, indices[1:], gains
+    root2 = np.sqrt(2.0)
+    walks = []
+    for rng in generators(config.seed, frames, 0):
+        init = int(rng.integers(model.n_points))
+        indices = [init]
+        gains = []
+        for _ in range(2, config.p_ttis + 1):
+            indices.append(int(cdf[indices[-1]].searchsorted(rng.random(), side="right")))
+            re, im = rng.standard_normal(2)
+            gains.append(complex(re, im) / root2)
+        walks.append((init, indices[1:], gains))
+    return walks
+
+
+def _trajectory(config: ExperimentConfig, model, frame: int):
+    """One frame's :func:`_trajectories` entry."""
+    return _trajectories(config, model, [frame])[0]
 
 
 def _noise_normals(config: ExperimentConfig, frames, tti: int, width: int) -> np.ndarray:
-    """First ``width`` normals of each frame's (seed, frame, tti) noise stream.
+    """First ``width`` normals of each frame's ``default_rng([seed, frame,
+    tti, 1])`` noise stream, all seeded in one step.
 
     One row per frame.  Every policy slices its own prefix of the row, so all
     policies see the same noise draws.
     """
-    return np.array(
-        [
-            np.random.default_rng([config.seed, frame, tti, 1]).standard_normal(width)
-            for frame in frames
-        ]
-    )
+    from .streams import generators
+
+    out = np.empty((len(frames), width))
+    for row, rng in zip(out, generators(config.seed, frames, tti, 1)):
+        rng.standard_normal(out=row)
+    return out
 
 
 def _noise(normals: np.ndarray, m: int, snr: float) -> np.ndarray:
@@ -242,7 +257,7 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
     used, and logs the bounds once the block's periods are done.
     """
     n_steps = config.p_ttis - 1
-    walks = [_trajectory(config, model, frame) for frame in frames]
+    walks = _trajectories(config, model, frames)
     init = np.array([w[0] for w in walks])
     true = np.array([w[1] for w in walks]).reshape(len(frames), n_steps)
     gains = np.array([w[2] for w in walks]).reshape(len(frames), n_steps)

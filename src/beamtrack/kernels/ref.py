@@ -35,6 +35,10 @@ RANK_DEFICIENT_RTOL = 1e-12
 # gamma_ub_rows.  The step holds about six temporaries of this many doubles,
 # so this caps them near 0.4 MB whatever the block size.
 ROW_PAIRS = 1 << 13
+# Smallest tail argument whose exp is computed; below it the tail is 0.
+# numpy's exp slows several-fold from about -708 down, where results
+# approach the subnormal range.
+EXP_FLOOR = -700.0
 
 
 def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
@@ -103,19 +107,35 @@ def _fold(lam1: np.ndarray, lam2: np.ndarray):
 
 
 def _mu(delta, thr, nl_low, nl_high, ratio_low, ratio_high) -> np.ndarray:
-    """Elementwise mu from finite delta and the :func:`_fold` constants.
+    """Elementwise mu from delta and the :func:`_fold` constants.
 
-    An infinite delta (a zero prior) is never passed: the bound restricts
-    every prior to its support first.
+    Each result lies in [0, 1] without clipping.  For finite delta:
+    ``ratio_low`` = lam2/fl(lam2 - lam1) lies in [0, 1] and ``ratio_high``
+    in [-1, 0], because fl(lam2 - lam1) rounds monotonically and so is no
+    smaller in magnitude than either eigenvalue; the tail argument
+    delta/nl is <= 0 on both branches, so its exp lies in [0, 1]; and both
+    ``ratio * tail`` and ``1 + ratio * tail`` then round into [0, 1].
+
+    Tail arguments below ``EXP_FLOOR`` give a tail of exactly 0.  This
+    keeps numpy's exp off its slow underflow and subnormal path, and moves
+    mu only where exp(delta/nl) < e**EXP_FLOOR, and then by less than
+    that.  A bound over S hypotheses, whose prior sums to at most 1, so
+    moves by less than (S - 1) * e**EXP_FLOOR absolute: below 1e-300 for
+    S up to 10**4.  No run passes an infinite delta, since the bound restricts
+    every prior to its support first; one makes a -inf or nan (inf/inf)
+    argument, which counts as below the floor, so mu takes its limits: 0
+    below and 1 above.
     """
     high = delta > thr
     tail = np.where(high, nl_high, nl_low)
     np.divide(delta, tail, out=tail)
+    live = tail >= EXP_FLOOR
+    np.fmax(tail, EXP_FLOOR, out=tail)
     np.exp(tail, out=tail)
+    tail *= live
     mu = np.where(high, ratio_high, ratio_low)
     mu *= tail
-    np.add(mu, 1.0, out=mu, where=high)
-    np.clip(mu, 0.0, 1.0, out=mu)
+    mu += high
     return mu
 
 
@@ -211,14 +231,18 @@ def gamma_ub_rows(
     consts = _pair_constants(
         gram_abs2[np.ix_(union, union)], np.asarray(norms_sq)[union], snr
     )
-    # One bytes key per row: sorting a 1-D void array is much cheaper than
-    # np.unique(axis=0) and yields the same groups.
-    packed = np.ascontiguousarray(np.packbits(support[:, union], axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, which, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
+    if support[:, union].all():
+        # One group of every row, as the grouping below would find.
+        groups, first = [np.arange(len(prior))], [0]
+    else:
+        # One bytes key per row: sorting a 1-D void array is much cheaper
+        # than np.unique(axis=0) and yields the same groups.
+        packed = np.ascontiguousarray(np.packbits(support[:, union], axis=1))
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, which, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
     for rows, row in zip(groups, first):
         pos = np.flatnonzero(support[row, union])
         cols = union[pos]

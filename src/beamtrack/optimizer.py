@@ -62,6 +62,8 @@ class PsaConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"psa.seed must be >= 0, got {self.seed}")
         if not 0.0 < self.inertia <= 1.0:
             raise ValueError("inertia must lie in (0, 1]")
         if self.cognitive_coeff <= 0 or self.social_coeff <= 0:

@@ -154,6 +154,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": -1}, "invalid config: seed must be >= 0"),
+            ({"psa": {"swarm_size": 8, "seed": -1}}, "psa.seed must be >= 0"),
+        ],
+    )
+    def test_exit_2_on_negative_seed(self, tmp_path, capsys, overrides, message):
+        cfg = _write_config(tmp_path, overrides)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_exit_3_on_unwritable_out(self, tmp_path):
         cfg = _write_config(tmp_path)
         blocker = tmp_path / "blocker"

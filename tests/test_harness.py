@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack import harness, kernels
 from beamtrack.kernels import ref
@@ -84,6 +86,49 @@ class TestConfig:
             _config(n_frames=0)
         with pytest.raises(ValueError):
             _config(design_prior="oracle")
+
+
+class TestStreams:
+    """Streams seeded for a whole block equal ``np.random.default_rng(key)``
+    bit for bit, whatever the key words: 0, 2**32 - 1, and seeds or frames
+    of two or more words."""
+
+    KEY = st.one_of(
+        st.sampled_from([0, 1, 2**32 - 1, 2**32]),
+        st.integers(0, 2**32 - 1),
+        st.integers(2**32, 2**80),
+    )
+    FRAMES = st.lists(
+        st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**40)),
+        min_size=1,
+        max_size=5,
+    )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=KEY, frames=FRAMES, tti=st.one_of(st.integers(2, 20), KEY))
+    def test_noise_rows(self, seed, frames, tti):
+        got = harness._noise_normals(_config(seed=seed), frames, tti, 7)
+        assert got.shape == (len(frames), 7)
+        for row, frame in zip(got, frames):
+            want = np.random.default_rng([seed, frame, tti, 1]).standard_normal(7)
+            assert np.array_equal(row, want)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=KEY, frames=FRAMES)
+    def test_trajectories(self, seed, frames):
+        config = _config(seed=seed, p_ttis=5)
+        model = build_markov(config.n_grid, config.beta, config.sigma)
+        got = harness._trajectories(config, model, frames)
+        for walk, frame in zip(got, frames):
+            rng = np.random.default_rng([seed, frame, 0])
+            init = int(rng.integers(model.n_points))
+            indices, gains = [init], []
+            for _ in range(config.p_ttis - 1):
+                indices.append(int(rng.choice(model.n_points, p=model.transition[indices[-1]])))
+                re, im = rng.standard_normal(2)
+                gains.append(complex(re, im) / np.sqrt(2.0))
+            assert walk == (init, indices[1:], gains)
+            assert harness._trajectory(config, model, frame) == walk
 
 
 class TestBeamCycling:

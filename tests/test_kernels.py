@@ -342,6 +342,20 @@ class TestGammaUbRows:
         ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
         assert len(calls) == 1
 
+    def test_equal_supports_skip_grouping(self):
+        # a block whose rows all have the union's support is scored as one
+        # group without the grouping pass; a row of smaller support forces
+        # that pass, and the other rows keep their bits
+        rng = np.random.default_rng(5)
+        prior, gram_abs2, norms_sq = self._mixed_block(rng, False)
+        full = prior[(prior > 0.0).all(axis=1)]
+        arc = rng.random((4, 64)) * (prior[0] > 0.0)
+        point = np.eye(64)[[0]]
+        for rows in (full, full[:1], arc / arc.sum(axis=1, keepdims=True)):
+            alone = ref.gamma_ub_rows(rows, gram_abs2, norms_sq, 10.0)
+            grouped = ref.gamma_ub_rows(np.vstack([rows, point]), gram_abs2, norms_sq, 10.0)
+            assert np.array_equal(alone, grouped[:-1])
+
     def test_empty_support_row(self):
         rng = np.random.default_rng(6)
         prior, gram_abs2, norms_sq = self._block(rng, 2, 12)

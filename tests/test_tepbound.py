@@ -165,11 +165,50 @@ class TestMuPair:
 
     def test_limits(self):
         # the kernel only sees finite deltas (zero priors are cut away), so
-        # the tails are checked at the extreme finite ones
+        # the tails are checked at the extreme finite ones; an infinite delta
+        # still gives the limits, in every case of which eigenvalue vanishes
         assert mu_pair(1.0, -1.0, -1e300) == 0.0
         assert mu_pair(1.0, -1.0, 1e300) == 1.0
         assert mu_pair(2.0, 0.0, -1e300) == 0.0
         assert mu_pair(0.0, -2.0, 1e300) == 1.0
+        with np.errstate(invalid="ignore"):
+            for lam1, lam2 in ((1.0, -1.0), (2.0, 0.0), (0.0, -2.0), (0.0, 0.0)):
+                assert mu_pair(lam1, lam2, -np.inf) == 0.0
+                assert mu_pair(lam1, lam2, np.inf) == 1.0
+
+    def test_within_unit_interval(self):
+        # mu is not clipped: random, aligned and scaled columns at extreme
+        # SNR, against priors from 1e-300 to 1 and exact ties, stay in [0, 1]
+        rng = np.random.default_rng(12)
+        s = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+        s[:, 1] = s[:, 0]
+        s[:, 2] = 3.0 * s[:, 0]
+        s[:, 3] = 1e-8 * s[:, 4]
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        prior = 10.0 ** rng.uniform(-300.0, 0.0, (6, 40))
+        prior[0] = 1.0
+        for snr in (1e-3, 1.0, 10.0, 1e3, 1e6):
+            mu = ref._rows_mu(prior, ref._pair_constants(gram_abs2, norms_sq, snr))
+            assert ((mu >= 0.0) & (mu <= 1.0)).all()
+
+    def test_exp_floor_tolerance(self):
+        # a tail below exp(EXP_FLOOR) is dropped: mu keeps its bits wherever
+        # the tail is at least that, and moves by less than it elsewhere
+        rng = np.random.default_rng(13)
+        lam1 = rng.uniform(0.0, 5.0, 20000) * (rng.random(20000) < 0.9)
+        lam2 = -rng.uniform(0.0, 5.0, 20000) * (rng.random(20000) < 0.9)
+        delta = rng.uniform(-4000.0, 4000.0, 20000)
+        thr, nl_low, nl_high, ratio_low, ratio_high = ref._fold(lam1, lam2)
+        high = delta > thr
+        arg = delta / np.where(high, nl_high, nl_low)
+        tail = np.exp(arg)
+        want = np.where(high, 1.0 + ratio_high * tail, ratio_low * tail)
+        got = mu_pair(lam1, lam2, delta)
+        kept = arg >= ref.EXP_FLOOR
+        assert (~kept).any() and kept.any()
+        assert np.array_equal(got[kept], want[kept])
+        assert (np.abs(got - want)[~kept] < np.exp(ref.EXP_FLOOR)).all()
 
     def test_case_continuity(self):
         # lam2 -> 0- converges to the lam2 = 0 case away from delta = 0
