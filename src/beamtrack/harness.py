@@ -171,6 +171,7 @@ def _trajectories(config: ExperimentConfig, model, frames) -> list[tuple]:
     current row's transition CDF, which is what ``rng.choice(n, p=row)``
     does, so the walk is the same.
     """
+    # Imported here: numpy.random adds to every run's import time.
     from .streams import generators
 
     cdf = model.transition_cdf

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamtrack
 from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import (
     SUMMARY_COLUMNS,
@@ -160,6 +165,7 @@ class TestSimulate:
             ({"seed": -1}, "invalid config: seed must be >= 0"),
             ({"psa": {"swarm_size": 8, "seed": -1}}, "psa.seed must be >= 0"),
         ],
+        ids=["seed", "psa.seed"],
     )
     def test_exit_2_on_negative_seed(self, tmp_path, capsys, overrides, message):
         cfg = _write_config(tmp_path, overrides)
@@ -313,3 +319,14 @@ class TestOptimizeCommand:
             )
             == 2
         )
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random adds 12-15 ms to the import every run pays; the harness
+    # loads it when a run first draws
+    code = "import sys, beamtrack, beamtrack.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(beamtrack.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
