@@ -21,7 +21,12 @@ import numpy as np
 from . import __version__
 from .arraymodel import build_codebook, build_grid, build_markov
 from .harness import ExperimentConfig, run_experiment, sweep
-from .optimizer import directional_mode, optimize_beams, select_directional_pair
+from .optimizer import (
+    directional_mode,
+    optimize_beams,
+    select_directional_pair,
+    steering_phases,
+)
 from .tracking import Belief
 
 SUMMARY_COLUMNS = (
@@ -167,10 +172,18 @@ def cmd_optimize(args) -> int:
         prior = parse_prior_spec(args.prior, config)
         grid = build_grid(config.n_grid)
         codebook = build_codebook(grid, config.n_tx)
-        result = optimize_beams(prior, codebook, snr, config.m_beams, config.psa)
         mode = directional_mode(config.n_grid, config.m_beams)
         indices, directional_score = select_directional_pair(
             prior, codebook, snr, config.m_beams, mode
+        )
+        result = optimize_beams(
+            prior,
+            codebook,
+            snr,
+            config.m_beams,
+            config.psa,
+            seed_phases=[steering_phases(codebook, indices)],
+            seed_directional=False,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -218,8 +231,6 @@ def cmd_sweep(args) -> int:
     value = getattr(config, param)
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"config field {param!r} must be a list for a sweep")
-    if not value:
-        raise ConfigError(f"sweep list for {param!r} is empty")
     try:
         results, summary = sweep(config, param=param)
     except ValueError as exc:

@@ -43,6 +43,12 @@ __all__ = [
 POLICIES = ("psa_optimized", "directional_tep", "beam_cycling")
 INT_FIELDS = ("n_tx", "n_grid", "m_beams", "sigma", "p_ttis", "n_frames", "seed")
 
+# Accepted range of each real-valued field, or of each value of its sweep
+# list.  The bound kernel squares the linear SNR and its inverse, which
+# overflow beyond about +-1540 dB, so snr_db stops well inside that, and far
+# beyond any link budget.
+FLOAT_RANGES = {"beta": (0.0, 1.0), "snr_db": (-300.0, 300.0)}
+
 # Frames advanced together, one tracking period at a time.  A block's
 # beliefs, sensing matrices and noise take O(BLOCK_FRAMES * N * M) memory
 # whatever n_frames is.
@@ -107,6 +113,21 @@ class ExperimentConfig:
             raise ValueError("n_frames must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, (lo, hi) in FLOAT_RANGES.items():
+            value = getattr(self, name)
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if not values:
+                raise ValueError(f"{name} list is empty")
+            for v in values:
+                real = isinstance(v, (int, float, np.integer, np.floating))
+                if isinstance(v, bool) or not real:
+                    raise ValueError(
+                        f"{name} must be a number or a list of numbers, got {v!r}"
+                    )
+                if not lo <= v <= hi:  # also true of nan
+                    raise ValueError(
+                        f"{name} must be finite and lie in [{lo:g}, {hi:g}], got {v!r}"
+                    )
 
     @property
     def policies(self) -> tuple[str, ...]:
@@ -336,9 +357,16 @@ def _run_frames(config: ExperimentConfig, frame_lo: int, frame_hi: int):
     codebook = build_codebook(grid, config.n_tx)
     model = build_markov(config.n_grid, beta, config.sigma, edge_mode=config.edge_mode)
 
+    searches: dict = {}  # one directional search per prior for both policies
     schedulers = {
         pol: BeamScheduler(
-            model, codebook, snr, config.m_beams, pol, psa_config=config.psa
+            model,
+            codebook,
+            snr,
+            config.m_beams,
+            pol,
+            psa_config=config.psa,
+            searches=searches,
         )
         for pol in config.policies
         if pol != "beam_cycling"
@@ -452,8 +480,6 @@ def sweep(
     if param is not None and param != swept:
         raise ValueError(f"requested sweep over {param!r} but {swept!r} is list-valued")
     values = list(getattr(config, swept))
-    if not values:
-        raise ValueError("sweep list is empty")
 
     results: dict[float, dict[str, np.ndarray]] = {}
     summary: list[SummaryRow] = []

@@ -17,6 +17,18 @@ One formula gives the pair tail mu from these eigenvalues and the log
 threshold delta: :func:`_fold` turns the eigenvalues into per-pair
 constants once, and :func:`_mu` evaluates them at each prior's delta.  The
 one-prior, block and design-batch entries all run it.
+
+The logging entries (:func:`gamma_ub_rows` and the one-prior
+:func:`gamma_ub`) score each prior on its effective support, the entries
+above LOG_EPS / (2 N^2) for a prior of length N, not on every positive
+entry.  mu_kn is the probability that the MAP test prefers n over k when k
+is true; by Markov's inequality on the likelihood ratio,
+mu_kn <= E_k[p_n f_n / (p_k f_k)] = p_n / p_k, so every pair adds
+p_k mu_kn <= min(p_k, p_n) to the bound.  A pair that touches a cut entry
+therefore adds at most LOG_EPS / (2 N^2), and fewer than 2 N^2 pairs do, so
+a logged bound moves by less than LOG_EPS absolute, plus the rounding of
+its shorter sums.  For a prior that sums to 1 that is far below the
+bound's own scale.  The design batch keeps every positive entry.
 """
 
 from __future__ import annotations
@@ -39,6 +51,10 @@ ROW_PAIRS = 1 << 13
 # numpy's exp slows several-fold from about -708 down, where results
 # approach the subnormal range.
 EXP_FLOOR = -700.0
+# Absolute tolerance of a logged bound: gamma_ub_rows drops the hypotheses
+# whose prior is at most LOG_EPS / (2 N^2), which moves the bound by less
+# than this (see the module docstring).
+LOG_EPS = 1e-16
 
 
 def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
@@ -189,7 +205,9 @@ def gamma_ub_batch(
 
     ``prior`` is (S,), normally restricted to its support; ``gram_abs2`` is
     (B, S, S) and ``norms_sq`` (B, S), the Gram data of B sensing matrices on
-    the same S columns.  Returns the (B,) unclamped bounds.
+    the same S columns.  Returns the (B,) unclamped bounds.  Every positive
+    entry counts: design priors are transition rows, none of whose entries
+    is near the logging cut, and a cut would cost a mask per swarm step.
     """
     prior = np.asarray(prior, dtype=float)
     idx = np.flatnonzero(prior > 0.0)
@@ -205,8 +223,8 @@ def gamma_ub_batch(
 def gamma_ub(
     prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
 ) -> float:
-    """Union upper bound on the tracking error probability (unclamped): the
-    one-row :func:`gamma_ub_rows`."""
+    """Union upper bound on the tracking error probability (unclamped), on
+    the prior's effective support: the one-row :func:`gamma_ub_rows`."""
     prior = np.asarray(prior, dtype=float)
     return float(gamma_ub_rows(prior[None], gram_abs2, norms_sq, snr)[0])
 
@@ -216,13 +234,22 @@ def gamma_ub_rows(
 ) -> np.ndarray:
     """Union bounds of an (F, N) block of priors against one sensing matrix.
 
+    Each row is scored on its effective support, the entries above
+    ``LOG_EPS / (2 N^2)``.  Every pair that involves a dropped entry adds at
+    most that much to the bound, since p_k mu_kn <= min(p_k, p_n) by
+    Markov's inequality (see the module docstring), and fewer than 2 N^2
+    pairs do.  Each result so lies within ``LOG_EPS`` absolute, plus a few
+    ulp of rounding, of the bound on every positive entry; a row with no
+    positive entry at or below the threshold keeps those bits exactly.
+
     Each of the (F,) results equals :func:`gamma_ub` on that row bit for bit.
     Every prior-independent pair term is computed once, on the union of the
-    rows' supports.  Rows are scored in groups of equal support, each group
-    on that support and at most ``ROW_PAIRS`` pairs at a time.
+    rows' effective supports.  Rows are scored in groups of equal effective
+    support, each group on that support and at most ``ROW_PAIRS`` pairs at a
+    time.
     """
     prior = np.asarray(prior, dtype=float)
-    support = prior > 0.0
+    support = prior > LOG_EPS / (2 * prior.shape[-1] ** 2)
     union = np.flatnonzero(support.any(axis=0))
     out = np.zeros(len(prior))
     if not len(union):

@@ -311,6 +311,11 @@ class BeamScheduler:
     propagated from a point estimate are derived from a single base design
     by a per-element phase ramp, whose sensing matrix is the base's with its
     columns rolled.
+
+    ``searches`` caches directional codeword searches by the prior's exact
+    bits.  Schedulers with the same codebook, SNR and beam count may share
+    one, so a directional-policy design and the directional seed of a PSA
+    design on the same prior run the search once.
     """
 
     def __init__(
@@ -321,6 +326,7 @@ class BeamScheduler:
         m_beams: int,
         policy: str,
         psa_config: PsaConfig | None = None,
+        searches: dict | None = None,
     ):
         if policy not in ("psa_optimized", "directional_tep"):
             raise ValueError(f"unknown design policy {policy!r}")
@@ -335,14 +341,23 @@ class BeamScheduler:
         self.design_count = 0
         self._prior_cache: dict[bytes, DesignedBeams] = {}
         self._index_cache: dict[int, DesignedBeams] = {}
+        self._searches = {} if searches is None else searches
+
+    def _directional(self, prior: Belief) -> tuple[tuple[int, ...], float]:
+        key = prior.probs.tobytes()
+        found = self._searches.get(key)
+        if found is None:
+            mode = directional_mode(self.codebook.n_points, self.m_beams)
+            found = select_directional_pair(
+                prior, self.codebook, self.snr, self.m_beams, mode
+            )
+            self._searches[key] = found
+        return found
 
     def _design(self, prior: Belief) -> DesignedBeams:
         self.design_count += 1
+        indices, score = self._directional(prior)
         if self.policy == "directional_tep":
-            mode = directional_mode(self.codebook.n_points, self.m_beams)
-            indices, score = select_directional_pair(
-                prior, self.codebook, self.snr, self.m_beams, mode
-            )
             beams = BeamMatrix(phases=steering_phases(self.codebook, indices))
             return DesignedBeams(
                 beams=beams,
@@ -351,7 +366,13 @@ class BeamScheduler:
                 codeword_indices=indices,
             )
         result = optimize_beams(
-            prior, self.codebook, self.snr, self.m_beams, self.psa_config
+            prior,
+            self.codebook,
+            self.snr,
+            self.m_beams,
+            self.psa_config,
+            seed_phases=[steering_phases(self.codebook, indices)],
+            seed_directional=False,
         )
         return DesignedBeams(
             beams=result.beams,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import beamtrack
+from beamtrack import harness
 from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import (
     SUMMARY_COLUMNS,
@@ -38,6 +39,10 @@ BASE_CONFIG = {
     "psa": {"swarm_size": 8, "max_iters": 15},
     "seed": 3,
 }
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a run started on an invalid config")
 
 
 def _write_config(tmp_path, overrides=None, name="config.json"):
@@ -172,6 +177,44 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,raw,message",
+        [
+            ("snr_db", '"10"', "snr_db must be a number"),
+            ("snr_db", '"nan"', "snr_db must be a number"),
+            ("snr_db", "NaN", "snr_db must be finite"),
+            ("snr_db", "1e400", "snr_db must be finite"),
+            ("snr_db", "4000", "snr_db must be finite and lie in [-300, 300]"),
+            ("snr_db", "true", "snr_db must be a number"),
+            ("beta", "1.5", "beta must be finite and lie in [0, 1]"),
+            ("beta", "-0.1", "beta must be finite and lie in [0, 1]"),
+            ("beta", '"0.2"', "beta must be a number"),
+            ("beta", "null", "beta must be a number"),
+        ],
+        ids=[
+            "snr-string",
+            "snr-nan-string",
+            "snr-nan",
+            "snr-overflow",
+            "snr-range",
+            "snr-bool",
+            "beta-above",
+            "beta-below",
+            "beta-string",
+            "beta-null",
+        ],
+    )
+    def test_exit_2_on_invalid_real(
+        self, tmp_path, capsys, monkeypatch, field, raw, message
+    ):
+        # rejected at config load, before any design or frame runs
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, field: "VALUE"}).replace('"VALUE"', raw))
+        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_exit_3_on_unwritable_out(self, tmp_path):
         cfg = _write_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -238,6 +281,39 @@ class TestSweepCommand:
         cfg = _write_config(tmp_path, {"beta": []})
         code = main(["sweep", "--config", cfg, "--param", "beta", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "param,raw,message",
+        [
+            ("beta", '[0.1, "nan"]', "beta must be a number"),
+            ("beta", "[0.1, NaN]", "beta must be finite"),
+            ("beta", "[0.1, 2]", "beta must be finite and lie in [0, 1]"),
+            ("snr_db", '[10, "nan"]', "snr_db must be a number"),
+            ("snr_db", "[10, 1e400]", "snr_db must be finite"),
+            ("snr_db", "[]", "snr_db list is empty"),
+        ],
+        ids=[
+            "beta-string",
+            "beta-nan",
+            "beta-range",
+            "snr-string",
+            "snr-overflow",
+            "snr-empty",
+        ],
+    )
+    def test_exit_2_before_first_point(
+        self, tmp_path, capsys, monkeypatch, param, raw, message
+    ):
+        # a bad value anywhere in the list fails before the first point runs
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, param: "VALUE"}).replace('"VALUE"', raw))
+        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        flag = {"beta": "beta", "snr_db": "snr"}[param]
+        out = str(tmp_path / "o")
+        code = main(["sweep", "--config", str(cfg), "--param", flag, "--out", out])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestOptimizeCommand:

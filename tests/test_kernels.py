@@ -252,8 +252,9 @@ class TestGammaUbRows:
         assert got.tolist() == want
 
     def test_groups_by_exact_support(self, monkeypatch):
-        # rows with equal supports share one step on exactly that support;
-        # equal sizes on different arcs, and arcs with holes, get their own
+        # rows with equal effective supports share one step on exactly that
+        # support; equal sizes on different arcs, arcs with holes, and rows
+        # whose 1e-300 entries or far tails fall under the cut get their own
         blocks = []
         rows_mu = ref._rows_mu
 
@@ -265,10 +266,12 @@ class TestGammaUbRows:
         monkeypatch.setattr(ref, "ROW_PAIRS", 1 << 20)  # one step per group
         prior, gram_abs2, norms_sq = self._mixed_block(np.random.default_rng(2), False)
         got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
-        patterns = np.unique(prior > 0.0, axis=0)
+        effective = prior > ref.LOG_EPS / (2 * 64**2)
+        patterns = np.unique(effective, axis=0)
         assert len(patterns) < len(prior)
+        assert len(patterns) != len(np.unique(prior > 0.0, axis=0))
         assert len(blocks) == len(patterns)
-        assert all((block > 0.0).all() for block in blocks)
+        assert all((block > ref.LOG_EPS / (2 * 64**2)).all() for block in blocks)
         assert sum(len(block) for block in blocks) == len(prior)
         assert got.tolist() == [ref.gamma_ub(r, gram_abs2, norms_sq, 10.0) for r in prior]
 
@@ -372,6 +375,95 @@ class TestGammaUbRows:
         monkeypatch.setattr(ref, "ROW_PAIRS", 2 * 12 * 12)
         split = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
         assert np.array_equal(whole, split)
+
+
+class TestEffectiveSupport:
+    """Logging scores each prior on its entries above LOG_EPS / (2 N^2): the
+    pairs it drops each add at most that much, by p_k mu_kn <= p_n."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        m=st.integers(1, 3),
+        log_snr=st.floats(-3.0, 6.0),
+        aligned=st.sampled_from(["random", "near", "exact"]),
+        log_floor=st.floats(-300.0, -1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_markov_pair_bound(self, n, m, log_snr, aligned, log_floor, seed):
+        # mu_kn = P_k(p_n f_n >= p_k f_k) <= E_k[p_n f_n / (p_k f_k)] = p_n / p_k
+        rng = np.random.default_rng(seed)
+        snr = 10.0**log_snr
+        s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        if aligned != "random":
+            jitter = 1e-9 if aligned == "near" else 0.0
+            scale = rng.uniform(0.5, 2.0, size=n // 2)
+            noise = rng.standard_normal((m, n // 2)) + 1j * rng.standard_normal((m, n // 2))
+            s[:, n - n // 2 :] = scale * s[:, : n // 2] + jitter * noise
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        prior = 10.0 ** rng.uniform(log_floor, 0.0, size=n)
+        prior[rng.integers(n)] = 1.0
+        prior /= prior.sum()
+        mu = ref._rows_mu(prior, ref._pair_constants(gram_abs2, norms_sq, snr))
+        assert (prior[:, None] * mu <= prior[None, :] * (1.0 + 1e-12)).all()
+
+    def _tailed_priors(self, rng, n):
+        """Priors whose tails run from 1e-18 down to 1e-300: geometric arcs,
+        propagated transition rows and random rows with a tiny subset."""
+        dist = np.abs(np.arange(n) - rng.integers(n))
+        dist = np.minimum(dist, n - dist).astype(float)
+        arcs = [r**dist for r in (1e-1, 1e-3, 1e-9, 1e-18)]
+        t = build_markov(n, 0.2, 5).transition
+        spread = t[3] @ t @ t
+        spread[::5] *= 1e-250
+        tiny = rng.random((3, n))
+        for row, lo in zip(tiny, (-18.0, -100.0, -300.0)):
+            cut = rng.random(n) < 0.4
+            row[cut] = 10.0 ** rng.uniform(lo, -18.0, size=cut.sum())
+        prior = np.vstack([*arcs, spread, *tiny, t[0]])
+        return prior / prior.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 10.0, 1e3, 1e6])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_within_tolerance_of_uncut_batch(self, m, snr):
+        # the design batch keeps every positive entry; the logged bound on
+        # the effective support is within LOG_EPS plus rounding of it
+        rng = np.random.default_rng(m)
+        n = 64
+        s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        prior = self._tailed_priors(rng, n)
+        assert (prior <= ref.LOG_EPS / (2 * n * n)).any(axis=1).sum() >= 6
+        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        for row, value in zip(prior, got):
+            want = ref.gamma_ub_batch(row, gram_abs2[None], norms_sq[None], snr)[0]
+            assert abs(value - want) <= ref.LOG_EPS + 4 * np.spacing(want)
+
+    @pytest.mark.parametrize("snr", [1e-3, 10.0, 1e6])
+    def test_rows_above_cut_keep_bits(self, snr, monkeypatch):
+        # rows whose positive entries all lie above the cut score as on the
+        # exact support (LOG_EPS = 0), bit for bit, also in a block with rows
+        # that are cut; the cut rows move by less than LOG_EPS
+        rng = np.random.default_rng(int(np.log10(snr)) + 3)
+        n = 64
+        s = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
+        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        t = build_markov(n, 0.2, 5).transition
+        kept = np.vstack([t[[0, 9, 40]], rng.random((2, n)), t[[5]] @ t])
+        kept /= kept.sum(axis=1, keepdims=True)
+        prior = np.vstack([kept, self._tailed_priors(rng, n)])
+        cut = ((prior > 0.0) & (prior <= ref.LOG_EPS / (2 * n * n))).any(axis=1)
+        assert not cut[: len(kept)].any() and cut[len(kept) :].sum() >= 6
+        new = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        monkeypatch.setattr(ref, "LOG_EPS", 0.0)
+        exact = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        assert np.array_equal(new[~cut], exact[~cut])
+        assert (np.abs(new - exact)[cut] <= ref.LOG_EPS + 4 * np.spacing(exact[cut])).all()
+        alone = ref.gamma_ub_rows(kept, gram_abs2, norms_sq, snr)
+        assert np.array_equal(alone, new[: len(kept)])
 
 
 class TestShiftEquivariance:

@@ -290,6 +290,45 @@ class TestScheduler:
         sched.beams_for_index(4)
         assert sched.design_count == 2
 
+    def test_shared_search_runs_once(self, monkeypatch):
+        # a PSA and a directional scheduler sharing one search cache run the
+        # directional search once per prior, and the PSA design keeps the
+        # bits of an optimize_beams call that searches for its own seed
+        calls = []
+        search = optimizer.select_directional_pair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        model = build_markov(16, 0.3, 2)
+        cb = build_codebook(build_grid(16), 8)
+        prior = Belief(model.transition[0])
+        want = optimize_beams(prior, cb, 10.0, 2, SMALL)
+        monkeypatch.setattr(optimizer, "select_directional_pair", counted)
+        searches = {}
+        psa, directional = (
+            BeamScheduler(model, cb, 10.0, 2, policy, psa_config=SMALL, searches=searches)
+            for policy in ("psa_optimized", "directional_tep")
+        )
+        got = psa.beams_for_index(0)
+        indices = directional.beams_for_index(0).codeword_indices
+        assert len(calls) == 1
+        assert np.array_equal(got.beams.phases, want.beams.phases)
+        assert got.score == want.score
+        assert indices == search(prior, cb, 10.0, 2)[0]
+        seeded = optimize_beams(
+            prior,
+            cb,
+            10.0,
+            2,
+            SMALL,
+            seed_phases=[steering_phases(cb, indices)],
+            seed_directional=False,
+        )
+        assert seeded.history == want.history
+        assert seeded.evaluations == want.evaluations
+
     def test_invalid_policy(self):
         model = build_markov(8, 0.5, 2)
         cb = build_codebook(build_grid(8), 4)
