@@ -3,8 +3,8 @@
 Every entry point is numpy, from :mod:`beamtrack.kernels.ref`, and all run
 one folded mu formula (``ref._pair_constants`` evaluated by ``ref._mu``):
 ``gamma_ub`` logs the bound for one prior or a block of priors against one
-sensing matrix, and ``gamma_ub_batch`` scores many sensing matrices at once
-for beam design.
+sensing matrix, each on its effective support (``ref.LOG_EPS``), and
+``gamma_ub_batch`` scores many sensing matrices at once for beam design.
 """
 
 import numpy as np
