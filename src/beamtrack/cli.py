@@ -21,12 +21,7 @@ import numpy as np
 from . import __version__
 from .arraymodel import build_codebook, build_grid, build_markov
 from .harness import ExperimentConfig, run_experiment, sweep
-from .optimizer import (
-    directional_mode,
-    optimize_beams,
-    select_directional_pair,
-    steering_phases,
-)
+from .optimizer import directional_mode, optimize_beams, select_directional_pair
 from .tracking import Belief
 
 SUMMARY_COLUMNS = (
@@ -182,8 +177,7 @@ def cmd_optimize(args) -> int:
             snr,
             config.m_beams,
             config.psa,
-            seed_phases=[steering_phases(codebook, indices)],
-            seed_directional=False,
+            indices,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -28,7 +28,8 @@ p_k mu_kn <= min(p_k, p_n) to the bound.  A pair that touches a cut entry
 therefore adds at most LOG_EPS / (2 N^2), and fewer than 2 N^2 pairs do, so
 a logged bound moves by less than LOG_EPS absolute, plus the rounding of
 its shorter sums.  For a prior that sums to 1 that is far below the
-bound's own scale.  The design batch keeps every positive entry.
+bound's own scale.  The design batch keeps every positive entry, so that
+beam designs keep their bits.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def gamma_ub_batch(
     ``prior`` is (S,), normally restricted to its support; ``gram_abs2`` is
     (B, S, S) and ``norms_sq`` (B, S), the Gram data of B sensing matrices on
     the same S columns.  Returns the (B,) unclamped bounds.  Every positive
-    entry counts: design priors are transition rows, none of whose entries
-    is near the logging cut, and a cut would cost a mask per swarm step.
+    entry counts, without the logging cut, so that beam designs keep their
+    bits.
     """
     prior = np.asarray(prior, dtype=float)
     idx = np.flatnonzero(prior > 0.0)

@@ -197,14 +197,15 @@ def optimize_beams(
     snr: float,
     m_beams: int,
     config: PsaConfig,
-    seed_phases: list[np.ndarray] | None = None,
-    seed_directional: bool = True,
+    directional: tuple[int, ...],
 ) -> OptimizationResult:
     """Particle-swarm minimization of the union bound over beam phases.
 
-    The swarm is seeded with the directional-codeword baseline and with
-    steering vectors at the prior's strongest modes, so the result never
-    scores worse than either candidate.  Deterministic given ``config.seed``.
+    The swarm is seeded with steering vectors at the ``directional``
+    codeword indices, the baseline that :func:`select_directional_pair`
+    returns for this prior, and at the prior's strongest modes, so the
+    result never scores worse than either candidate.  Deterministic given
+    ``config.seed``.
     """
     if m_beams < 1:
         raise ValueError("m_beams must be >= 1")
@@ -212,13 +213,7 @@ def optimize_beams(
     dim = n_tx * m_beams
     rng = np.random.default_rng(config.seed)
 
-    seeds: list[np.ndarray] = []
-    if seed_phases:
-        seeds.extend(np.asarray(s, dtype=float).reshape(dim) for s in seed_phases)
-    if seed_directional:
-        mode = directional_mode(codebook.n_points, m_beams)
-        indices, _ = select_directional_pair(prior, codebook, snr, m_beams, mode)
-        seeds.append(steering_phases(codebook, indices).reshape(dim))
+    seeds = [steering_phases(codebook, directional).reshape(dim)]
     top_modes = np.argsort(prior.probs, kind="stable")[::-1][:m_beams]
     if len(top_modes) == m_beams:
         seeds.append(steering_phases(codebook, np.sort(top_modes)).reshape(dim))
@@ -312,10 +307,10 @@ class BeamScheduler:
     by a per-element phase ramp, whose sensing matrix is the base's with its
     columns rolled.
 
-    ``searches`` caches directional codeword searches by the prior's exact
-    bits.  Schedulers with the same codebook, SNR and beam count may share
-    one, so a directional-policy design and the directional seed of a PSA
-    design on the same prior run the search once.
+    ``searches`` caches directional codeword searches by the codebook, SNR,
+    beam count and the prior's exact bits.  Schedulers that share it run
+    the search once per prior, so a directional-policy design and the
+    directional seed of a PSA design on the same prior share one search.
     """
 
     def __init__(
@@ -326,7 +321,8 @@ class BeamScheduler:
         m_beams: int,
         policy: str,
         psa_config: PsaConfig | None = None,
-        searches: dict | None = None,
+        *,
+        searches: dict,
     ):
         if policy not in ("psa_optimized", "directional_tep"):
             raise ValueError(f"unknown design policy {policy!r}")
@@ -341,10 +337,12 @@ class BeamScheduler:
         self.design_count = 0
         self._prior_cache: dict[bytes, DesignedBeams] = {}
         self._index_cache: dict[int, DesignedBeams] = {}
-        self._searches = {} if searches is None else searches
+        self._searches = searches
+        matrix = codebook.matrix
+        self._setting = (matrix.shape, matrix.tobytes(), self.snr, self.m_beams)
 
     def _directional(self, prior: Belief) -> tuple[tuple[int, ...], float]:
-        key = prior.probs.tobytes()
+        key = (self._setting, prior.probs.tobytes())
         found = self._searches.get(key)
         if found is None:
             mode = directional_mode(self.codebook.n_points, self.m_beams)
@@ -371,8 +369,7 @@ class BeamScheduler:
             self.snr,
             self.m_beams,
             self.psa_config,
-            seed_phases=[steering_phases(self.codebook, indices)],
-            seed_directional=False,
+            indices,
         )
         return DesignedBeams(
             beams=result.beams,

@@ -255,8 +255,11 @@ def _reference_frames(config, rebuild=False):
     model = build_markov(
         config.n_grid, config.beta, config.sigma, edge_mode=config.edge_mode
     )
+    searches: dict = {}
     schedulers = {
-        pol: BeamScheduler(model, codebook, snr, config.m_beams, pol, config.psa)
+        pol: BeamScheduler(
+            model, codebook, snr, config.m_beams, pol, config.psa, searches=searches
+        )
         for pol in config.policies
         if pol != "beam_cycling"
     }

@@ -28,6 +28,14 @@ def _concentrated_prior(n, center, eps=0.05):
     return Belief(probs)
 
 
+def _optimize(prior, cb, snr, m_beams, config):
+    """optimize_beams seeded with the directional search, as BeamScheduler
+    seeds it."""
+    mode = directional_mode(cb.n_points, m_beams)
+    indices, _ = select_directional_pair(prior, cb, snr, m_beams, mode)
+    return optimize_beams(prior, cb, snr, m_beams, config, indices)
+
+
 class TestPsaConfig:
     def test_defaults_valid(self):
         cfg = PsaConfig()
@@ -57,7 +65,7 @@ class TestOptimizeBeams:
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
         prior = _concentrated_prior(8, 3)
-        out = optimize_beams(prior, cb, 10.0, 2, SMALL)
+        out = _optimize(prior, cb, 10.0, 2, SMALL)
         hist = np.array(out.history)
         assert np.all(np.diff(hist) <= 0)
         assert out.score == hist[-1]
@@ -66,7 +74,7 @@ class TestOptimizeBeams:
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
         prior = _concentrated_prior(8, 0)
-        out = optimize_beams(prior, cb, 5.0, 2, SMALL)
+        out = _optimize(prior, cb, 5.0, 2, SMALL)
         assert beam_objective(out.beams, cb, prior, 5.0) == pytest.approx(
             out.score, abs=1e-12
         )
@@ -74,15 +82,15 @@ class TestOptimizeBeams:
     def test_unit_modulus(self):
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
-        out = optimize_beams(_concentrated_prior(8, 5), cb, 10.0, 3, SMALL)
+        out = _optimize(_concentrated_prior(8, 5), cb, 10.0, 3, SMALL)
         np.testing.assert_allclose(np.abs(out.beams.matrix), 0.5, atol=1e-12)
 
     def test_reproducible(self):
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
         prior = _concentrated_prior(8, 2)
-        a = optimize_beams(prior, cb, 10.0, 2, SMALL)
-        b = optimize_beams(prior, cb, 10.0, 2, SMALL)
+        a = _optimize(prior, cb, 10.0, 2, SMALL)
+        b = _optimize(prior, cb, 10.0, 2, SMALL)
         assert np.array_equal(a.beams.phases, b.beams.phases)
         assert a.score == b.score and a.history == b.history
 
@@ -96,7 +104,7 @@ class TestOptimizeBeams:
         top = np.argsort(prior.probs)[::-1][:2]
         mode_beams = BeamMatrix(phases=steering_phases(cb, np.sort(top)))
         mode_score = beam_objective(mode_beams, cb, prior, snr)
-        out = optimize_beams(prior, cb, snr, 2, SMALL)
+        out = _optimize(prior, cb, snr, 2, SMALL)
         assert out.score <= directional_score + 1e-12
         assert out.score <= mode_score + 1e-12
 
@@ -109,23 +117,24 @@ class TestOptimizeBeams:
         snr = 20.0
         matched = BeamMatrix(phases=steering_phases(cb, [1]))
         matched_score = beam_objective(matched, cb, prior, snr)
-        out = optimize_beams(prior, cb, snr, 1, PsaConfig(swarm_size=12, max_iters=60))
+        out = _optimize(prior, cb, snr, 1, PsaConfig(swarm_size=12, max_iters=60))
         assert out.score <= matched_score + 1e-12
 
     def test_evaluation_count(self):
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
         cfg = PsaConfig(swarm_size=5, max_iters=7, stall_iters=100)
-        out = optimize_beams(_concentrated_prior(8, 0), cb, 10.0, 2, cfg)
+        out = _optimize(_concentrated_prior(8, 0), cb, 10.0, 2, cfg)
         assert out.evaluations == 5 * (7 + 1)
 
     def test_greedy_seed_beyond_budget(self):
-        # comb(64, 5) exceeds the exhaustive budget; the directional seed
-        # comes from the greedy search instead of raising
+        # comb(64, 5) exceeds the exhaustive budget; the scheduler takes the
+        # directional seed from the greedy search instead of raising
+        model = build_markov(64, 0.2, 5)
         cb = build_codebook(build_grid(64), 8)
-        prior = Belief(build_markov(64, 0.2, 5).transition[0])
         cfg = PsaConfig(swarm_size=2, max_iters=1)
-        out = optimize_beams(prior, cb, 10.0, 5, cfg)
+        sched = BeamScheduler(model, cb, 10.0, 5, "psa_optimized", cfg, searches={})
+        out = sched.beams_for_index(0)
         assert np.isfinite(out.score)
         assert out.beams.phases.shape == (8, 5)
 
@@ -133,7 +142,7 @@ class TestOptimizeBeams:
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
         with pytest.raises(ValueError):
-            optimize_beams(Belief.uniform(8), cb, 10.0, 0, SMALL)
+            optimize_beams(Belief.uniform(8), cb, 10.0, 0, SMALL, ())
 
 
 class TestDirectionalPair:
@@ -208,7 +217,7 @@ class TestScheduler:
     def _scheduler(self, policy, n=8, n_tx=4, edge_mode="wrap"):
         model = build_markov(n, 0.5, 2, edge_mode=edge_mode)
         cb = build_codebook(build_grid(n), n_tx)
-        return BeamScheduler(model, cb, 10.0, 2, policy, psa_config=SMALL)
+        return BeamScheduler(model, cb, 10.0, 2, policy, SMALL, searches={})
 
     def test_prior_cache_hit(self):
         sched = self._scheduler("directional_tep")
@@ -258,7 +267,7 @@ class TestScheduler:
         # phase-ramped beams
         model = build_markov(n, 0.5, 2)
         cb = build_codebook(build_grid(n), n_tx)
-        sched = BeamScheduler(model, cb, 10.0, 2, policy, psa_config=SMALL)
+        sched = BeamScheduler(model, cb, 10.0, 2, policy, SMALL, searches={})
         base = sched.beams_for_index(0)
         assert base.base is base and base.roll == 0
         for k in sorted({1, 3, n // 2, n - 1}):
@@ -292,8 +301,8 @@ class TestScheduler:
 
     def test_shared_search_runs_once(self, monkeypatch):
         # a PSA and a directional scheduler sharing one search cache run the
-        # directional search once per prior, and the PSA design keeps the
-        # bits of an optimize_beams call that searches for its own seed
+        # directional search once per prior, and the PSA design seeds the
+        # swarm with its result
         calls = []
         search = optimizer.select_directional_pair
 
@@ -304,11 +313,11 @@ class TestScheduler:
         model = build_markov(16, 0.3, 2)
         cb = build_codebook(build_grid(16), 8)
         prior = Belief(model.transition[0])
-        want = optimize_beams(prior, cb, 10.0, 2, SMALL)
+        want = _optimize(prior, cb, 10.0, 2, SMALL)
         monkeypatch.setattr(optimizer, "select_directional_pair", counted)
         searches = {}
         psa, directional = (
-            BeamScheduler(model, cb, 10.0, 2, policy, psa_config=SMALL, searches=searches)
+            BeamScheduler(model, cb, 10.0, 2, policy, SMALL, searches=searches)
             for policy in ("psa_optimized", "directional_tep")
         )
         got = psa.beams_for_index(0)
@@ -317,20 +326,34 @@ class TestScheduler:
         assert np.array_equal(got.beams.phases, want.beams.phases)
         assert got.score == want.score
         assert indices == search(prior, cb, 10.0, 2)[0]
-        seeded = optimize_beams(
-            prior,
-            cb,
-            10.0,
-            2,
-            SMALL,
-            seed_phases=[steering_phases(cb, indices)],
-            seed_directional=False,
-        )
-        assert seeded.history == want.history
-        assert seeded.evaluations == want.evaluations
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"snr": 100.0},
+            {"m_beams": 3},
+            {"cb": build_codebook(build_grid(16), 4)},
+        ],
+    )
+    def test_shared_search_keyed_by_setting(self, other):
+        # schedulers that share a search cache but differ in codebook, SNR
+        # or beam count each run their own search on the same prior
+        model = build_markov(16, 0.3, 2)
+        setting = {"cb": build_codebook(build_grid(16), 8), "snr": 10.0, "m_beams": 2}
+        prior = Belief(model.transition[0])
+        searches = {}
+        for kwargs in (setting, {**setting, **other}):
+            cb, snr, m_beams = kwargs["cb"], kwargs["snr"], kwargs["m_beams"]
+            sched = BeamScheduler(
+                model, cb, snr, m_beams, "directional_tep", searches=searches
+            )
+            got = sched.beams_for_prior(prior).codeword_indices
+            mode = directional_mode(cb.n_points, m_beams)
+            assert got == select_directional_pair(prior, cb, snr, m_beams, mode)[0]
+        assert len(searches) == 2
 
     def test_invalid_policy(self):
         model = build_markov(8, 0.5, 2)
         cb = build_codebook(build_grid(8), 4)
         with pytest.raises(ValueError):
-            BeamScheduler(model, cb, 10.0, 2, "beam_cycling")
+            BeamScheduler(model, cb, 10.0, 2, "beam_cycling", searches={})
