@@ -128,7 +128,7 @@ def parse_prior_spec(spec: str, config: ExperimentConfig) -> Belief:
     if spec.startswith("point:"):
         return Belief.point_mass(n, _parse_index(spec, n))
     if spec.startswith("propagated:"):
-        beta = config.beta if not isinstance(config.beta, (list, tuple)) else config.beta[0]
+        beta = config.beta[0] if config.swept == "beta" else config.beta
         model = build_markov(n, float(beta), config.sigma, edge_mode=config.edge_mode)
         return Belief(model.transition[_parse_index(spec, n)])
     if spec.startswith("file:"):
@@ -161,7 +161,7 @@ def _parse_index(spec: str, n: int) -> int:
 def cmd_optimize(args) -> int:
     started = time.time()
     config = load_config(args.config)
-    snr_db = config.snr_db if not isinstance(config.snr_db, (list, tuple)) else config.snr_db[0]
+    snr_db = config.snr_db[0] if config.swept == "snr_db" else config.snr_db
     try:
         snr = 10.0 ** (float(snr_db) / 10.0)
         prior = parse_prior_spec(args.prior, config)
@@ -222,9 +222,6 @@ def cmd_sweep(args) -> int:
     started = time.time()
     config = load_config(args.config)
     param = {"beta": "beta", "snr": "snr_db"}[args.param]
-    value = getattr(config, param)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"config field {param!r} must be a list for a sweep")
     try:
         results, summary = sweep(config, param=param)
     except ValueError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .arraymodel import build_codebook, build_grid, build_markov
-from .optimizer import BeamScheduler, PsaConfig
+from .optimizer import BeamScheduler, PsaConfig, check_int, check_real
 from .tracking import (
     Belief,
     BeamMatrix,
@@ -41,12 +41,13 @@ __all__ = [
 ]
 
 POLICIES = ("psa_optimized", "directional_tep", "beam_cycling")
-INT_FIELDS = ("n_tx", "n_grid", "m_beams", "sigma", "p_ttis", "n_frames", "seed")
+# Smallest accepted value of each integer field.
+INT_MINIMA = dict(n_tx=1, n_grid=2, m_beams=1, sigma=0, p_ttis=2, n_frames=1, seed=0)
 
 # Accepted range of each real-valued field, or of each value of its sweep
-# list.  The bound kernel squares the linear SNR and its inverse, which
-# overflow beyond about +-1540 dB, so snr_db stops well inside that, and far
-# beyond any link budget.
+# list; a sweep runs over one of these fields.  The bound kernel squares the
+# linear SNR and its inverse, which overflow beyond about +-1540 dB, so
+# snr_db stops well inside that, and far beyond any link budget.
 FLOAT_RANGES = {"beta": (0.0, 1.0), "snr_db": (-300.0, 300.0)}
 
 # Frames advanced together, one tracking period at a time.  A block's
@@ -96,38 +97,51 @@ class ExperimentConfig:
     design_prior: str = "estimate"
 
     def __post_init__(self):
-        for name in INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        """Check every field, so that a config that loads can run."""
+        for name, lo in INT_MINIMA.items():
+            check_int(name, getattr(self, name), lo)
+        if self.n_grid < 2 * self.sigma + 1:
+            raise ValueError(
+                f"n_grid must be >= 2*sigma + 1 = {2 * self.sigma + 1}, so that the "
+                f"hop window does not overlap itself, got {self.n_grid}"
+            )
+        if self.m_beams > self.n_grid:
+            raise ValueError(f"m_beams must be <= n_grid = {self.n_grid}, got {self.m_beams}")
         if not isinstance(self.psa, PsaConfig):
             raise ValueError(f"psa must be an object of swarm settings, got {self.psa!r}")
+        if not isinstance(self.policy, (str, list, tuple)) or not self.policies:
+            raise ValueError(
+                f"policy must be a policy name or a non-empty list of them, got {self.policy!r}"
+            )
         for pol in self.policies:
             if pol not in POLICIES:
-                raise ValueError(f"unknown policy {pol!r}")
+                raise ValueError(f"unknown policy {pol!r}: policy must be one of {POLICIES}")
+        if len(set(self.policies)) < len(self.policies):
+            raise ValueError(f"policy must not repeat an entry, got {list(self.policies)}")
         if self.design_prior not in ("estimate", "belief"):
             raise ValueError(f"unknown design_prior {self.design_prior!r}")
-        if self.p_ttis < 2:
-            raise ValueError("p_ttis must be >= 2")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.edge_mode not in ("wrap", "truncate"):
+            raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
+        if not isinstance(self.noiseless, bool):
+            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
         for name, (lo, hi) in FLOAT_RANGES.items():
             value = getattr(self, name)
             values = value if isinstance(value, (list, tuple)) else [value]
             if not values:
                 raise ValueError(f"{name} list is empty")
             for v in values:
-                real = isinstance(v, (int, float, np.integer, np.floating))
-                if isinstance(v, bool) or not real:
-                    raise ValueError(
-                        f"{name} must be a number or a list of numbers, got {v!r}"
-                    )
-                if not lo <= v <= hi:  # also true of nan
-                    raise ValueError(
-                        f"{name} must be finite and lie in [{lo:g}, {hi:g}], got {v!r}"
-                    )
+                check_real(name, v, lo, hi)
+        if all(isinstance(getattr(self, name), (list, tuple)) for name in FLOAT_RANGES):
+            raise ValueError("beta and snr_db are both lists: exactly one parameter may be swept")
+
+    @property
+    def swept(self) -> str | None:
+        """The list-valued field a sweep runs over, "beta" or "snr_db", or
+        None when both are numbers."""
+        for name in FLOAT_RANGES:
+            if isinstance(getattr(self, name), (list, tuple)):
+                return name
+        return None
 
     @property
     def policies(self) -> tuple[str, ...]:
@@ -154,12 +168,6 @@ class ExperimentConfig:
         return cls(**d)
 
 
-def _require_scalar(value, name: str) -> float:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        raise ValueError(f"{name} must be scalar for a single experiment run")
-    return float(value)
-
-
 def beam_cycling_probes(n_tx: int, codebook) -> SensingMatrix:
     """Sensing matrix of the n_tx-direction probe sweep baseline.
 
@@ -184,35 +192,50 @@ def beam_cycling_estimate(y: np.ndarray, sensing: SensingMatrix) -> int | np.nda
     return int(est) if y.ndim == 1 else est
 
 
-def _trajectories(config: ExperimentConfig, model, frames) -> list[tuple]:
+def _trajectories(config: ExperimentConfig, model, frames):
     """Shared-per-frame channel realizations: index walk plus per-period gains.
 
-    Frame f draws from ``default_rng([seed, f, 0])``; the streams of all
-    frames are seeded in one step.  Each hop draws one uniform against the
-    current row's transition CDF, which is what ``rng.choice(n, p=row)``
-    does, so the walk is the same.
+    Returns the (F,) initial indices and the (F, p_ttis - 1) indices and
+    complex gains of the tracked periods.  Frame f draws from
+    ``default_rng([seed, f, 0])``; the streams of all frames are seeded in
+    one step.  Each stream gives one integer, then one uniform and two
+    normals per hop.  A hop moves to the number of transition-CDF entries of
+    the current row at or below its uniform, which is what
+    ``rng.choice(n, p=row)`` picks, so the walk is the same.
     """
     # Imported here: numpy.random adds to every run's import time.
     from .streams import generators
 
+    n_steps = config.p_ttis - 1
+    init = np.empty(len(frames), dtype=int)
+    uniforms = np.empty((len(frames), n_steps))
+    normals = np.empty((len(frames), n_steps, 2))
+    for f, rng in enumerate(generators(config.seed, frames, 0)):
+        init[f] = rng.integers(model.n_points)
+        for step in range(n_steps):
+            uniforms[f, step] = rng.random()
+            rng.standard_normal(out=normals[f, step])
+
     cdf = model.transition_cdf
+    indices = np.empty((len(frames), n_steps), dtype=int)
+    current = init
+    for step in range(n_steps):
+        current = (cdf[current] <= uniforms[:, step, None]).sum(axis=1)
+        indices[:, step] = current
+    # Part by part, as complex(re, im) / sqrt(2) divides; numpy's
+    # complex-by-real division multiplies by the reciprocal instead.
     root2 = np.sqrt(2.0)
-    walks = []
-    for rng in generators(config.seed, frames, 0):
-        init = int(rng.integers(model.n_points))
-        indices = [init]
-        gains = []
-        for _ in range(2, config.p_ttis + 1):
-            indices.append(int(cdf[indices[-1]].searchsorted(rng.random(), side="right")))
-            re, im = rng.standard_normal(2)
-            gains.append(complex(re, im) / root2)
-        walks.append((init, indices[1:], gains))
-    return walks
+    gains = np.empty((len(frames), n_steps), dtype=complex)
+    gains.real = normals[..., 0] / root2
+    gains.imag = normals[..., 1] / root2
+    return init, indices, gains
 
 
 def _trajectory(config: ExperimentConfig, model, frame: int):
-    """One frame's :func:`_trajectories` entry."""
-    return _trajectories(config, model, [frame])[0]
+    """One frame's :func:`_trajectories` entry as (init, indices, gains)
+    Python scalars and lists."""
+    init, indices, gains = _trajectories(config, model, [frame])
+    return int(init[0]), indices[0].tolist(), gains[0].tolist()
 
 
 def _noise_normals(config: ExperimentConfig, frames, tti: int, width: int) -> np.ndarray:
@@ -279,10 +302,7 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
     used, and logs the bounds once the block's periods are done.
     """
     n_steps = config.p_ttis - 1
-    walks = _trajectories(config, model, frames)
-    init = np.array([w[0] for w in walks])
-    true = np.array([w[1] for w in walks]).reshape(len(frames), n_steps)
-    gains = np.array([w[2] for w in walks]).reshape(len(frames), n_steps)
+    init, true, gains = _trajectories(config, model, frames)
     rows = np.arange(len(frames))
     widths = [
         cycling.m_beams if pol == "beam_cycling" else config.m_beams
@@ -349,13 +369,13 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
 def _run_frames(config: ExperimentConfig, frame_lo: int, frame_hi: int):
     """Simulate frames [frame_lo, frame_hi) for every configured policy, in
     blocks of up to BLOCK_FRAMES frames."""
-    beta = _require_scalar(config.beta, "beta")
-    snr_db = _require_scalar(config.snr_db, "snr_db")
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = 10.0 ** (float(config.snr_db) / 10.0)
 
     grid = build_grid(config.n_grid)
     codebook = build_codebook(grid, config.n_tx)
-    model = build_markov(config.n_grid, beta, config.sigma, edge_mode=config.edge_mode)
+    model = build_markov(
+        config.n_grid, float(config.beta), config.sigma, edge_mode=config.edge_mode
+    )
 
     searches: dict = {}  # one directional search per prior for both policies
     schedulers = {
@@ -419,7 +439,10 @@ def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[dict[str, np.ndarray], list[SummaryRow]]:
     """Simulate all frames; returns per-policy trial arrays and per-period
-    summary rows (grouped by tracked period index)."""
+    summary rows (grouped by tracked period index).  ``beta`` and
+    ``snr_db`` must be numbers; :func:`sweep` runs a list of them."""
+    if config.swept is not None:
+        raise ValueError(f"{config.swept} must be scalar for a single experiment run")
     workers = _worker_count()
     if workers == 1 or config.n_frames < 2 * workers:
         trials = _run_frames(config, 0, config.n_frames)
@@ -456,18 +479,6 @@ def run_experiment(
     return trials, summary
 
 
-def _swept_param(config: ExperimentConfig) -> str:
-    beta_swept = isinstance(config.beta, (list, tuple))
-    snr_swept = isinstance(config.snr_db, (list, tuple))
-    if beta_swept and snr_swept:
-        raise ValueError("exactly one parameter may be swept, got two")
-    if beta_swept:
-        return "beta"
-    if snr_swept:
-        return "snr_db"
-    raise ValueError("no swept parameter: beta and snr_db are both scalar")
-
-
 def sweep(
     config: ExperimentConfig, param: str | None = None
 ) -> tuple[dict[float, dict[str, np.ndarray]], list[SummaryRow]]:
@@ -476,7 +487,9 @@ def sweep(
     Returns the per-value trial arrays and one pooled summary row per
     (swept value, policy), errors pooled over all tracked periods.
     """
-    swept = _swept_param(config)
+    swept = config.swept
+    if swept is None:
+        raise ValueError("no swept parameter: beta and snr_db are both scalar")
     if param is not None and param != swept:
         raise ValueError(f"requested sweep over {param!r} but {swept!r} is list-valued")
     values = list(getattr(config, swept))

@@ -61,7 +61,8 @@ LOG_EPS = 1e-16
 def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     """(lam1, lam2) matrices of all hypothesis pairs; they do not depend on
     the prior.  ``gram_abs2`` (..., N, N) and ``norms_sq`` (..., N) give
-    (..., N, N) results, row index the true hypothesis."""
+    (..., N, N) results, row index the true hypothesis.  The diagonal, a
+    hypothesis against itself, is 0: its difference form vanishes."""
     q = np.asarray(norms_sq, dtype=float)
     inv = 1.0 / snr
 
@@ -70,7 +71,7 @@ def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     uv2 = (q + inv)[..., :, None] ** 2 * gram_abs2
     vv = gram_abs2 + (q * inv)[..., None, :]
 
-    pos = (a * uu)[..., :, None] * np.ones_like(vv)
+    pos = (a * uu)[..., :, None]
     neg = a[..., None, :] * vv
     cross = uu[..., :, None] * vv - uv2
     trace = pos - neg
@@ -80,13 +81,19 @@ def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     lam2 = 0.5 * (trace - root)
     # Rank-deficient pairs (aligned directions): the quadratic would turn
     # cancellation noise in cross into spurious sqrt-amplified eigenvalues.
+    # The diagonal always counts as aligned, so it is set apart; off it,
+    # aligned pairs are rare unless a sensing matrix has one row.
+    diag = np.arange(q.shape[-1])
     aligned = cross <= RANK_DEFICIENT_RTOL * uu[..., :, None] * vv
+    aligned[..., diag, diag] = False
     if aligned.any():
         both_zero = aligned & (np.abs(trace) <= ZERO_EIG_RTOL * np.maximum(1.0, np.maximum(pos, neg)))
         lam1 = np.where(aligned, np.maximum(trace, 0.0), lam1)
         lam2 = np.where(aligned, np.minimum(trace, 0.0), lam2)
         lam1 = np.where(both_zero, 0.0, lam1)
         lam2 = np.where(both_zero, 0.0, lam2)
+    lam1[..., diag, diag] = 0.0
+    lam2[..., diag, diag] = 0.0
     return lam1, lam2
 
 

@@ -39,6 +39,28 @@ MAX_EXHAUSTIVE_CANDIDATES = 1_000_000
 BATCH_PAIRS = 1 << 13
 
 
+def check_int(name: str, value, lo: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer, not
+    a bool, of at least ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+def check_real(name: str, value, lo: float, hi: float = np.inf, *, open_lo=False) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a real number,
+    not a bool or a string, that is finite and lies in [lo, hi], or in
+    (lo, hi] when ``open_lo``.  nan lies in no range."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not real:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    inside = (lo < value if open_lo else lo <= value) and value <= hi
+    if not (inside and abs(value) <= np.finfo(float).max):  # a finite double
+        span = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{']' if hi < np.inf else ')'}"
+        raise ValueError(f"{name} must be finite and lie in {span}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PsaConfig:
     """Swarm hyperparameters; standard constriction-equivalent defaults."""
@@ -54,22 +76,14 @@ class PsaConfig:
     stall_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("swarm_size", "max_iters", "seed", "stall_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"psa.{name} must be an integer, got {value!r}")
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"psa.seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.inertia <= 1.0:
-            raise ValueError("inertia must lie in (0, 1]")
-        if self.cognitive_coeff <= 0 or self.social_coeff <= 0:
-            raise ValueError("acceleration coefficients must be positive")
-        if self.velocity_clamp <= 0:
-            raise ValueError("velocity_clamp must be positive")
+        check_int("psa.swarm_size", self.swarm_size, 2)
+        check_int("psa.max_iters", self.max_iters, 1)
+        check_int("psa.seed", self.seed, 0)
+        check_int("psa.stall_iters", self.stall_iters, 1)
+        check_real("psa.inertia", self.inertia, 0.0, 1.0, open_lo=True)
+        for name in ("cognitive_coeff", "social_coeff", "velocity_clamp"):
+            check_real(f"psa.{name}", getattr(self, name), 0.0, open_lo=True)
+        check_real("psa.stall_tol", self.stall_tol, 0.0)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
+    ConfigError,
     _fmt,
     _trials_csv,
     load_config,
@@ -77,6 +79,63 @@ class TestConfigLoading:
         pfile.write_text("\n".join(["1"] * 16))
         belief = parse_prior_spec(f"file:{pfile}", cfg)
         np.testing.assert_allclose(belief.probs, 1 / 16)
+
+    # (field named in the message, config overrides): one bad value or more
+    # per field of ExperimentConfig and PsaConfig.  BASE_CONFIG has n_grid 16
+    # and sigma 2.
+    BAD_VALUES = [
+        ("n_tx", {"n_tx": 0}),
+        ("n_tx", {"n_tx": "8"}),
+        ("n_grid", {"n_grid": 1}),
+        ("n_grid", {"n_grid": 4}),
+        ("n_grid", {"n_grid": 16.0}),
+        ("m_beams", {"m_beams": 0}),
+        ("m_beams", {"m_beams": 17}),
+        ("sigma", {"sigma": -1}),
+        ("sigma", {"sigma": 8}),
+        ("p_ttis", {"p_ttis": 1}),
+        ("beta", {"beta": 1.5}),
+        ("beta", {"beta": []}),
+        ("snr_db", {"snr_db": "10"}),
+        ("snr_db", {"snr_db": float("nan")}),
+        ("beta and snr_db", {"beta": [0.1], "snr_db": [10.0]}),
+        ("n_frames", {"n_frames": 0}),
+        ("n_frames", {"n_frames": None}),
+        ("policy", {"policy": []}),
+        ("policy", {"policy": ["directional_tep", "directional_tep"]}),
+        ("policy", {"policy": "oracle"}),
+        ("policy", {"policy": 3}),
+        ("psa", {"psa": [8]}),
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": True}),
+        ("edge_mode", {"edge_mode": "circular"}),
+        ("noiseless", {"noiseless": "false"}),
+        ("noiseless", {"noiseless": 0}),
+        ("noiseless", {"noiseless": None}),
+        ("design_prior", {"design_prior": "oracle"}),
+        ("psa.swarm_size", {"psa": {"swarm_size": 1}}),
+        ("psa.max_iters", {"psa": {"max_iters": 0}}),
+        ("psa.inertia", {"psa": {"inertia": 0}}),
+        ("psa.inertia", {"psa": {"inertia": True}}),
+        ("psa.cognitive_coeff", {"psa": {"cognitive_coeff": -1.0}}),
+        ("psa.social_coeff", {"psa": {"social_coeff": "1.49"}}),
+        ("psa.velocity_clamp", {"psa": {"velocity_clamp": "1"}}),
+        ("psa.velocity_clamp", {"psa": {"velocity_clamp": float("inf")}}),
+        ("psa.seed", {"psa": {"seed": 1.5}}),
+        ("psa.stall_iters", {"psa": {"stall_iters": 0}}),
+        ("psa.stall_tol", {"psa": {"stall_tol": "x"}}),
+        ("psa.stall_tol", {"psa": {"stall_tol": -1e-9}}),
+    ]
+
+    @pytest.mark.parametrize(
+        "field,overrides",
+        BAD_VALUES,
+        ids=[json.dumps(o, separators=(",", ":")) for _, o in BAD_VALUES],
+    )
+    def test_bad_value_names_field(self, tmp_path, field, overrides):
+        path = _write_config(tmp_path, overrides)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(path)
 
 
 class TestSimulate:
@@ -157,7 +216,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"psa": 3}, {"psa": [8]}, {"n_frames": 2.5}, {"sigma": "2"}, {"seed": True}],
+        [
+            {"psa": 3},
+            {"psa": [8]},
+            {"n_frames": 2.5},
+            {"sigma": "2"},
+            {"seed": True},
+            {"noiseless": "false"},
+            {"psa": {"stall_tol": "x"}},
+            {"policy": []},
+            {"policy": ["directional_tep", "directional_tep"]},
+        ],
     )
     def test_exit_2_on_wrong_type(self, tmp_path, capsys, overrides):
         cfg = _write_config(tmp_path, overrides)

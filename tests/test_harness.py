@@ -79,6 +79,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict({"n_tx": 8, "bogus": 1})
 
+    def test_swept(self):
+        assert _config().swept is None
+        assert _config(beta=[0.1, 0.2]).swept == "beta"
+        assert _config(snr_db=[0.0]).swept == "snr_db"
+
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             _config(p_ttis=1)
@@ -118,8 +123,11 @@ class TestStreams:
     def test_trajectories(self, seed, frames):
         config = _config(seed=seed, p_ttis=5)
         model = build_markov(config.n_grid, config.beta, config.sigma)
-        got = harness._trajectories(config, model, frames)
-        for walk, frame in zip(got, frames):
+        got_init, got_true, got_gains = harness._trajectories(config, model, frames)
+        assert got_init.shape == (len(frames),)
+        assert got_true.shape == got_gains.shape == (len(frames), config.p_ttis - 1)
+        for i, frame in enumerate(frames):
+            walk = (int(got_init[i]), got_true[i].tolist(), got_gains[i].tolist())
             rng = np.random.default_rng([seed, frame, 0])
             init = int(rng.integers(model.n_points))
             indices, gains = [init], []
