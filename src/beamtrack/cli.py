@@ -137,6 +137,11 @@ def parse_prior_spec(spec: str, config: ExperimentConfig) -> Belief:
             probs = np.loadtxt(path)
         except OSError as exc:
             raise ConfigError(f"cannot read prior file: {exc}") from exc
+        if probs.shape != (n,):
+            raise ConfigError(
+                f"prior file must hold one list of n_grid = {n} weights, "
+                f"got {probs.size} in shape {probs.shape}"
+            )
         try:
             return Belief(np.asarray(probs, dtype=float) / np.sum(probs))
         except ValueError as exc:
@@ -167,9 +172,8 @@ def cmd_optimize(args) -> int:
         prior = parse_prior_spec(args.prior, config)
         grid = build_grid(config.n_grid)
         codebook = build_codebook(grid, config.n_tx)
-        mode = directional_mode(config.n_grid, config.m_beams)
         indices, directional_score = select_directional_pair(
-            prior, codebook, snr, config.m_beams, mode
+            prior, codebook, snr, config.m_beams
         )
         result = optimize_beams(
             prior,
@@ -195,7 +199,7 @@ def cmd_optimize(args) -> int:
         "directional_baseline": {
             "codeword_indices": list(indices),
             "gamma_ub": directional_score,
-            "mode": mode,
+            "mode": directional_mode(config.n_grid, config.m_beams),
         },
     }
     _write_text(Path(args.out), json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -94,7 +94,6 @@ class ExperimentConfig:
     seed: int = 0
     edge_mode: str = "wrap"
     noiseless: bool = False
-    design_prior: str = "estimate"
 
     def __post_init__(self):
         """Check every field, so that a config that loads can run."""
@@ -118,8 +117,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown policy {pol!r}: policy must be one of {POLICIES}")
         if len(set(self.policies)) < len(self.policies):
             raise ValueError(f"policy must not repeat an entry, got {list(self.policies)}")
-        if self.design_prior not in ("estimate", "belief"):
-            raise ValueError(f"unknown design_prior {self.design_prior!r}")
         if self.edge_mode not in ("wrap", "truncate"):
             raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
         if not isinstance(self.noiseless, bool):
@@ -258,17 +255,6 @@ def _noise(normals: np.ndarray, m: int, snr: float) -> np.ndarray:
     return (normals[:, :m] + 1j * normals[:, m : 2 * m]) * np.sqrt(0.5 / snr)
 
 
-def _designs(config: ExperimentConfig, scheduler: BeamScheduler, prior: Belief, prev_est):
-    """Designs used this period and each frame's index into them."""
-    if config.design_prior == "estimate":
-        indices, which = np.unique(prev_est, return_inverse=True)
-        return [scheduler.beams_for_index(int(i)) for i in indices], which
-    found = [scheduler.beams_for_prior(Belief(row)) for row in prior.probs]
-    slots: dict[int, int] = {}
-    which = np.array([slots.setdefault(id(d), len(slots)) for d in found])
-    return list({id(d): d for d in found}.values()), which
-
-
 def _log_bounds(
     priors: np.ndarray, slots: np.ndarray, rolls: np.ndarray, bases: list, snr: float
 ) -> np.ndarray:
@@ -334,7 +320,8 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
 
             prior = propagate_prior(beliefs[pol], model)
             priors[pol][step] = prior.probs
-            designs, which = _designs(config, schedulers[pol], prior, prev_est[pol])
+            indices, which = np.unique(prev_est[pol], return_inverse=True)
+            designs = [schedulers[pol].beams_for_index(int(i)) for i in indices]
             slot = [
                 used[pol].setdefault(id(d.base), (len(used[pol]), d.base))[0]
                 for d in designs
@@ -415,24 +402,33 @@ def _run_frames(config: ExperimentConfig, frame_lo: int, frame_hi: int):
 
 
 def _worker_count() -> int:
+    """Worker processes from ``BEAMTRACK_THREADS``: an integer from 1 to the
+    CPU count, 1 when unset."""
     value = os.environ.get("BEAMTRACK_THREADS", "1")
+    cap = os.cpu_count() or 1
     try:
-        return max(1, int(value))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if not 1 <= workers <= cap:
+        raise ValueError(f"BEAMTRACK_THREADS must be an integer in [1, {cap}], got {value!r}")
+    return workers
 
 
-def _summarize(trials: np.ndarray, keys: np.ndarray, key_fmt) -> list[tuple]:
-    rows = []
-    for key in np.unique(keys):
-        cell = trials[keys == key]
-        n = len(cell)
-        p = float(cell["error"].mean())
-        stderr = float(np.sqrt(p * (1.0 - p) / n))
-        finite = np.isfinite(cell["gamma_ub"])
-        mean_ub = float(cell["gamma_ub"][finite].mean()) if finite.any() else float("nan")
-        rows.append((key_fmt(key), p, stderr, mean_ub, n))
-    return rows
+def _summary_row(group_key: str, policy: str, trials: np.ndarray) -> SummaryRow:
+    """Error rate, its standard error and the mean finite bound of one
+    group of trials."""
+    n = len(trials)
+    p = float(trials["error"].mean())
+    finite = np.isfinite(trials["gamma_ub"])
+    return SummaryRow(
+        group_key=group_key,
+        policy=policy,
+        tep_mean=p,
+        tep_stderr=float(np.sqrt(p * (1.0 - p) / n)),
+        mean_gamma_ub=float(trials["gamma_ub"][finite].mean()) if finite.any() else np.nan,
+        n_frames=n,
+    )
 
 
 def run_experiment(
@@ -461,21 +457,11 @@ def run_experiment(
             for pol in config.policies
         }
 
-    summary: list[SummaryRow] = []
-    for pol in config.policies:
-        for key, p, stderr, mean_ub, n in _summarize(
-            trials[pol], trials[pol]["tti"], lambda t: f"tti={int(t)}"
-        ):
-            summary.append(
-                SummaryRow(
-                    group_key=key,
-                    policy=pol,
-                    tep_mean=p,
-                    tep_stderr=stderr,
-                    mean_gamma_ub=mean_ub,
-                    n_frames=int(n),
-                )
-            )
+    summary = [
+        _summary_row(f"tti={int(tti)}", pol, trials[pol][trials[pol]["tti"] == tti])
+        for pol in config.policies
+        for tti in np.unique(trials[pol]["tti"])
+    ]
     return trials, summary
 
 
@@ -500,21 +486,8 @@ def sweep(
         point = replace(config, **{swept: float(value)})
         trials, _ = run_experiment(point)
         results[float(value)] = trials
-        for pol in point.policies:
-            arr = trials[pol]
-            n = len(arr)
-            p = float(arr["error"].mean())
-            stderr = float(np.sqrt(p * (1.0 - p) / n))
-            finite = np.isfinite(arr["gamma_ub"])
-            mean_ub = float(arr["gamma_ub"][finite].mean()) if finite.any() else float("nan")
-            summary.append(
-                SummaryRow(
-                    group_key=f"{swept}={float(value):g}",
-                    policy=pol,
-                    tep_mean=p,
-                    tep_stderr=stderr,
-                    mean_gamma_ub=mean_ub,
-                    n_frames=n,
-                )
-            )
+        summary.extend(
+            _summary_row(f"{swept}={float(value):g}", pol, trials[pol])
+            for pol in point.policies
+        )
     return results, summary

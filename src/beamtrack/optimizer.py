@@ -29,7 +29,7 @@ __all__ = [
     "BeamScheduler",
 ]
 
-# Exhaustive codeword-subset search refuses beyond this many candidates.
+# Codeword-subset search is exhaustive up to this many candidates, else greedy.
 MAX_EXHAUSTIVE_CANDIDATES = 1_000_000
 # Hypothesis pairs (batch x support x support) per batched bound-kernel call.
 # The kernel holds about 30 temporaries of this many doubles, so this caps
@@ -158,23 +158,19 @@ def select_directional_pair(
     codebook: Codebook,
     snr: float,
     m_beams: int,
-    mode: str = "exhaustive",
 ) -> tuple[tuple[int, ...], float]:
     """Best size-``m_beams`` codeword subset under the union-bound score.
 
-    Exhaustive over all subsets by default; among scores equal in floating
-    point the lexicographically smallest index set wins.  Subsets tied only
-    mathematically (circular shifts of one subset under a uniform prior)
-    score differently in their last bits, so rounding picks among them.
-    ``mode="greedy"`` adds one
-    codeword at a time and is the fallback when the candidate count exceeds
-    the exhaustive budget (see :func:`directional_mode`).
+    Exhaustive over all subsets within the candidate budget; among scores
+    equal in floating point the lexicographically smallest index set wins.
+    Subsets tied only mathematically (circular shifts of one subset under a
+    uniform prior) score differently in their last bits, so rounding picks
+    among them.  Beyond the budget the search is greedy, adding one codeword
+    at a time (see :func:`directional_mode`).
     """
     n = codebook.n_points
     if not 1 <= m_beams <= n:
         raise ValueError("m_beams must lie in [1, n_points]")
-    if mode not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown mode {mode!r}")
     idx, probs = _support(prior)
     gram = codebook.matrix.conj().T @ codebook.matrix
     # row i = sensing row of codeword i, on the prior's support columns
@@ -192,12 +188,7 @@ def select_directional_pair(
                 best, best_score = tuple(int(i) for i in block[k]), float(scores[k])
         return best, best_score
 
-    if mode == "exhaustive":
-        if directional_mode(n, m_beams) != "exhaustive":
-            raise ValueError(
-                "exhaustive subset search exceeds the candidate budget; "
-                "use mode='greedy'"
-            )
+    if directional_mode(n, m_beams) == "exhaustive":
         return best_of(combinations(range(n), m_beams))
     chosen: tuple[int, ...] = ()
     for _ in range(m_beams):
@@ -314,12 +305,12 @@ class DesignedBeams:
 class BeamScheduler:
     """Per-period beam design with caching.
 
-    Designs are keyed by a fingerprint of the design prior (and implicitly
-    the SNR fixed at construction).  For the wrap-around Markov model the
-    design problem is circularly shift-invariant, so designs for the prior
-    propagated from a point estimate are derived from a single base design
-    by a per-element phase ramp, whose sensing matrix is the base's with its
-    columns rolled.
+    Each period's beams are designed for the prior propagated from the
+    previous point estimate, ``model.transition[index]``, and cached by that
+    index (the SNR is fixed at construction).  For the wrap-around Markov
+    model the design problem is circularly shift-invariant, so every design
+    is derived from the index-0 base design by a per-element phase ramp,
+    whose sensing matrix is the base's with its columns rolled.
 
     ``searches`` caches directional codeword searches by the codebook, SNR,
     beam count and the prior's exact bits.  Schedulers that share it run
@@ -349,7 +340,6 @@ class BeamScheduler:
         self.policy = policy
         self.psa_config = psa_config or PsaConfig()
         self.design_count = 0
-        self._prior_cache: dict[bytes, DesignedBeams] = {}
         self._index_cache: dict[int, DesignedBeams] = {}
         self._searches = searches
         matrix = codebook.matrix
@@ -359,10 +349,7 @@ class BeamScheduler:
         key = (self._setting, prior.probs.tobytes())
         found = self._searches.get(key)
         if found is None:
-            mode = directional_mode(self.codebook.n_points, self.m_beams)
-            found = select_directional_pair(
-                prior, self.codebook, self.snr, self.m_beams, mode
-            )
+            found = select_directional_pair(prior, self.codebook, self.snr, self.m_beams)
             self._searches[key] = found
         return found
 
@@ -391,16 +378,6 @@ class BeamScheduler:
             score=result.score,
         )
 
-    def beams_for_prior(self, prior: Belief) -> DesignedBeams:
-        # Keyed by the exact bits, so the design is a function of the prior
-        # alone, whatever order priors are looked up in.
-        key = prior.probs.tobytes()
-        cached = self._prior_cache.get(key)
-        if cached is None:
-            cached = self._design(prior)
-            self._prior_cache[key] = cached
-        return cached
-
     def _shift(self, base: DesignedBeams, offset: int) -> DesignedBeams:
         n = self.model.n_points
         ramp = 2.0 * np.pi * offset / n * np.arange(self.codebook.n_tx)
@@ -427,13 +404,9 @@ class BeamScheduler:
         cached = self._index_cache.get(index)
         if cached is not None:
             return cached
-        if self.model.edge_mode == "wrap":
-            base = self._index_cache.get(0)
-            if base is None:
-                base = self.beams_for_prior(Belief(self.model.transition[0]))
-                self._index_cache[0] = base
-            designed = base if index == 0 else self._shift(base, index)
+        if self.model.edge_mode == "wrap" and index != 0:
+            designed = self._shift(self.beams_for_index(0), index)
         else:
-            designed = self.beams_for_prior(Belief(self.model.transition[index]))
+            designed = self._design(Belief(self.model.transition[index]))
         self._index_cache[index] = designed
         return designed

@@ -13,7 +13,7 @@ from beamtrack.arraymodel import (
     physical_to_normalized,
     steering_vector,
 )
-from beamtrack.harness import ExperimentConfig, _trajectory
+from beamtrack.harness import ExperimentConfig, _trajectories, _trajectory
 
 
 @lru_cache(maxsize=None)
@@ -24,7 +24,10 @@ def _walks(n_grid, beta, sigma, p_ttis, n_frames, seed=0):
         n_grid=n_grid, beta=beta, sigma=sigma, p_ttis=p_ttis, n_frames=n_frames, seed=seed
     )
     model = build_markov(n_grid, beta, sigma)
-    return model, [_trajectory(config, model, frame) for frame in range(n_frames)]
+    init, indices, gains = _trajectories(config, model, range(n_frames))
+    return model, [
+        (int(i), walk.tolist(), g.tolist()) for i, walk, g in zip(init, indices, gains)
+    ]
 
 
 class TestSteeringVector:

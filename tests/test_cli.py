@@ -80,6 +80,23 @@ class TestConfigLoading:
         belief = parse_prior_spec(f"file:{pfile}", cfg)
         np.testing.assert_allclose(belief.probs, 1 / 16)
 
+    @pytest.mark.parametrize(
+        "text,count",
+        [("1 2 3 4 5", 5), ("1\n" * 17, 17), ("1 1 1 1\n" * 4, 16), ("1", 1)],
+        ids=["short", "long", "two-d", "scalar"],
+    )
+    def test_prior_file_length(self, tmp_path, capsys, text, count):
+        # the file must hold exactly n_grid = 16 weights in one list
+        cfg = _write_config(tmp_path)
+        pfile = tmp_path / "prior.txt"
+        pfile.write_text(text)
+        out = tmp_path / "x.json"
+        code = main(["optimize", "--config", cfg, "--prior", f"file:{pfile}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_grid = 16 weights" in err and f"got {count}" in err
+        assert not out.exists()
+
     # (field named in the message, config overrides): one bad value or more
     # per field of ExperimentConfig and PsaConfig.  BASE_CONFIG has n_grid 16
     # and sigma 2.
@@ -112,6 +129,7 @@ class TestConfigLoading:
         ("noiseless", {"noiseless": "false"}),
         ("noiseless", {"noiseless": 0}),
         ("noiseless", {"noiseless": None}),
+        # a removed field: a config that still has it is refused by name
         ("design_prior", {"design_prior": "oracle"}),
         ("psa.swarm_size", {"psa": {"swarm_size": 1}}),
         ("psa.max_iters", {"psa": {"max_iters": 0}}),
@@ -195,6 +213,25 @@ class TestSimulate:
     def test_exit_2_on_unknown_field(self, tmp_path):
         cfg = _write_config(tmp_path, {"bogus_field": 1})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5", "CPUS+1"])
+    def test_exit_2_on_bad_worker_count(self, tmp_path, capsys, monkeypatch, command, value):
+        # checked before any worker starts: building a pool fails the test
+        from concurrent import futures
+
+        cap = os.cpu_count()
+        value = str(cap + 1) if value == "CPUS+1" else value
+        monkeypatch.setenv("BEAMTRACK_THREADS", value)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", _never_called)
+        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        cfg = _write_config(tmp_path, {"beta": [0.3]} if command == "sweep" else None)
+        extra = ["--param", "beta"] if command == "sweep" else []
+        code = main([command, "--config", cfg, *extra, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"BEAMTRACK_THREADS must be an integer in [1, {cap}], got {value!r}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_exit_2_on_missing_config(self, tmp_path):
         assert (

@@ -89,8 +89,6 @@ class TestConfig:
             _config(p_ttis=1)
         with pytest.raises(ValueError):
             _config(n_frames=0)
-        with pytest.raises(ValueError):
-            _config(design_prior="oracle")
 
 
 class TestStreams:
@@ -227,13 +225,6 @@ class TestRunExperiment:
             err = trials[pol]["error"].astype(bool)
             assert np.array_equal(err, est != trials[pol]["true_index"])
 
-    def test_belief_design_prior_runs(self):
-        cfg = _config(
-            n_frames=4, policy="directional_tep", design_prior="belief"
-        )
-        trials, _ = run_experiment(cfg)
-        assert len(trials["directional_tep"]) == 4 * (cfg.p_ttis - 1)
-
     def test_list_valued_param_rejected(self):
         cfg = _config(beta=[0.1, 0.2], n_frames=4)
         with pytest.raises(ValueError, match="scalar"):
@@ -292,10 +283,7 @@ def _reference_frames(config, rebuild=False):
                     out[pol].append((frame, tti, true_idx, est, est != true_idx, np.nan))
                     continue
                 prior = propagate_prior(belief, model)
-                if config.design_prior == "estimate":
-                    designed = schedulers[pol].beams_for_index(prev_est)
-                else:
-                    designed = schedulers[pol].beams_for_prior(prior)
+                designed = schedulers[pol].beams_for_index(prev_est)
                 sensing = designed.sensing
                 if rebuild:
                     sensing = sensing_matrix(designed.beams, codebook)
@@ -304,8 +292,7 @@ def _reference_frames(config, rebuild=False):
                     y = y + noise(frame, tti, config.m_beams)
                 belief = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
                 est = map_estimate(belief)
-                rolled = config.design_prior == "estimate" and config.edge_mode == "wrap"
-                if rolled and not rebuild:
+                if config.edge_mode == "wrap" and not rebuild:
                     base = schedulers[pol].beams_for_index(0).sensing
                     gub = ref.gamma_ub(
                         np.roll(prior.probs, -prev_est),
@@ -335,9 +322,8 @@ class TestBlockedLoop:
             {"m_beams": 3, "snr_db": 30.0},
             {"beta": 0.9, "snr_db": 20.0, "p_ttis": 7},
             {"beta": 0.0},
-            {"design_prior": "belief", "n_frames": 30},
         ],
-        ids=["wrap", "truncate", "noiseless", "m3", "beta09", "static", "belief"],
+        ids=["wrap", "truncate", "noiseless", "m3", "beta09", "static"],
     )
     def test_matches_reference(self, monkeypatch, overrides):
         # blocks of 16 frames: 40 frames span three blocks, the last partial

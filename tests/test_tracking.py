@@ -12,7 +12,7 @@ from beamtrack.harness import (
     ExperimentConfig,
     _noise,
     _noise_normals,
-    _trajectory,
+    _trajectories,
     run_experiment,
 )
 from beamtrack.tracking import (
@@ -140,7 +140,7 @@ class TestObservation:
         s = sensing_matrix(beams, cb)
         snr, kappa, n = 5.0, 3, 20_000
         config = ExperimentConfig(n_grid=8, sigma=1, p_ttis=2, seed=2)
-        gains = np.array([_trajectory(config, model, f)[2][0] for f in range(n)])
+        gains = _trajectories(config, model, range(n))[2][:, 0]
         noise = _noise(_noise_normals(config, range(n), 2, 4), 2, snr)
         ys = gains[:, None] * s.matrix[:, kappa] + noise
         emp = ys.T @ ys.conj() / n
