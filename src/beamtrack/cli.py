@@ -41,6 +41,9 @@ TRIAL_COLUMNS = (
     "error",
     "gamma_ub",
 )
+# Trial rows formatted and written per piece: the text of a run's trials is
+# never held whole, whatever n_frames is.
+CHUNK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -69,13 +72,23 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def _write_text(path: Path, text: str) -> str:
+def _write(path: Path, pieces) -> str:
+    """Write the text pieces to ``path`` one at a time, as UTF-8 bytes.
+
+    Returns the SHA-256 of the bytes on disk, fed piece by piece, so that
+    only one piece is held as text or bytes at a time.
+    """
+    digest = hashlib.sha256()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with open(path, "wb") as fh:
+            for piece in pieces:
+                data = piece.encode()
+                fh.write(data)
+                digest.update(data)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
-    return hashlib.sha256(text.encode()).hexdigest()
+    return digest.hexdigest()
 
 
 def _summary_csv(rows) -> str:
@@ -96,18 +109,20 @@ def _summary_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trials_csv(trials_by_policy: dict[str, np.ndarray]) -> str:
-    lines = [",".join(TRIAL_COLUMNS)]
+def _trials_pieces(trials_by_policy: dict[str, np.ndarray]):
+    """The text of trials.csv, CHUNK_ROWS rows at a time."""
+    yield ",".join(TRIAL_COLUMNS) + "\n"
     for policy in sorted(trials_by_policy):
         trials = trials_by_policy[policy]
-        # Column-wise: tolist() gives Python ints and floats, which format
-        # as _fmt formats each cell (a NaN of either sign prints "nan").
-        columns = [trials[name].tolist() for name in TRIAL_COLUMNS[1:]]
-        lines.extend(
-            f"{policy},{frame},{tti},{true},{est},{err},{ub:.12g}"
-            for frame, tti, true, est, err, ub in zip(*columns)
-        )
-    return "\n".join(lines) + "\n"
+        for lo in range(0, len(trials), CHUNK_ROWS):
+            chunk = trials[lo : lo + CHUNK_ROWS]
+            # Column-wise: tolist() gives Python ints and floats, which format
+            # as _fmt formats each cell (a NaN of either sign prints "nan").
+            columns = [chunk[name].tolist() for name in TRIAL_COLUMNS[1:]]
+            yield "".join(
+                f"{policy},{frame},{tti},{true},{est},{err},{ub:.12g}\n"
+                for frame, tti, true, est, err, ub in zip(*columns)
+            )
 
 
 def _manifest(config: ExperimentConfig, digests: dict[str, str], started: float) -> str:
@@ -142,8 +157,16 @@ def parse_prior_spec(spec: str, config: ExperimentConfig) -> Belief:
                 f"prior file must hold one list of n_grid = {n} weights, "
                 f"got {probs.size} in shape {probs.shape}"
             )
+        if (probs < 0).any() or not np.isfinite(probs).all():
+            raise ConfigError("prior file weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            total = np.sum(probs)
+        if total == 0:
+            raise ConfigError("prior file weights sum to zero: the prior has no mass")
+        if not np.isfinite(total):
+            raise ConfigError("prior file weights sum to infinity: scale them down")
         try:
-            return Belief(np.asarray(probs, dtype=float) / np.sum(probs))
+            return Belief(probs / total)
         except ValueError as exc:
             raise ConfigError(f"invalid prior file: {exc}") from exc
     raise ConfigError(
@@ -202,7 +225,7 @@ def cmd_optimize(args) -> int:
             "mode": directional_mode(config.n_grid, config.m_beams),
         },
     }
-    _write_text(Path(args.out), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(Path(args.out), [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -215,10 +238,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     digests = {
-        "summary.csv": _write_text(out / "summary.csv", _summary_csv(summary)),
-        "trials.csv": _write_text(out / "trials.csv", _trials_csv(trials)),
+        "summary.csv": _write(out / "summary.csv", [_summary_csv(summary)]),
+        "trials.csv": _write(out / "trials.csv", _trials_pieces(trials)),
     }
-    _write_text(out / "manifest.json", _manifest(config, digests, started))
+    _write(out / "manifest.json", [_manifest(config, digests, started)])
     return 0
 
 
@@ -231,13 +254,11 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
-    digests = {
-        "summary.csv": _write_text(out / "summary.csv", _summary_csv(summary))
-    }
+    digests = {"summary.csv": _write(out / "summary.csv", [_summary_csv(summary)])}
     for val, trials in results.items():
         name = f"trials_{param}_{val:g}.csv"
-        digests[name] = _write_text(out / name, _trials_csv(trials))
-    _write_text(out / "manifest.json", _manifest(config, digests, started))
+        digests[name] = _write(out / name, _trials_pieces(trials))
+    _write(out / "manifest.json", [_manifest(config, digests, started)])
     return 0
 
 

@@ -255,27 +255,27 @@ def _noise(normals: np.ndarray, m: int, snr: float) -> np.ndarray:
     return (normals[:, :m] + 1j * normals[:, m : 2 * m]) * np.sqrt(0.5 / snr)
 
 
-def _log_bounds(
-    priors: np.ndarray, slots: np.ndarray, rolls: np.ndarray, bases: list, snr: float
-) -> np.ndarray:
+def _log_bounds(priors: np.ndarray, slots: np.ndarray, bases: list, snr: float) -> np.ndarray:
     """Union bound of each (period, frame) prior against the design it used,
     one kernel call per base design.
 
-    ``priors`` is (n_steps, F, N); ``slots`` (n_steps, F) indexes ``bases``
-    and ``rolls`` gives how far each design is rolled from that base.  A
-    design's bound on a prior is its base's bound on the prior rolled back
-    by the design's roll.  Returns the (F, n_steps) bounds.
+    ``priors`` is (n_steps, F, N), each prior stored in the coordinates of
+    its design's base: a design's bound on a prior is its base's bound on
+    the prior rolled back by the design's roll.  ``slots`` (n_steps, F)
+    indexes ``bases``.  Returns the (F, n_steps) bounds.
     """
-    n = priors.shape[-1]
-    shift = (np.arange(n) + rolls.reshape(-1, 1)) % n
-    rolled = np.take_along_axis(priors.reshape(-1, n), shift, axis=1)
+    flat = priors.reshape(-1, priors.shape[-1])
     slots = slots.ravel()
     out = np.empty(len(slots))
     for k, base in enumerate(bases):
         rows = np.flatnonzero(slots == k)
         sensing = base.sensing
+        # A block with one base (every wrap block) is scored in place.
         out[rows] = kernels.gamma_ub(
-            rolled[rows], sensing.gram_abs2, sensing.col_norms_sq, snr
+            flat if len(rows) == len(flat) else flat[rows],
+            sensing.gram_abs2,
+            sensing.col_norms_sq,
+            snr,
         )
     return out.reshape(priors.shape[:2]).T
 
@@ -284,8 +284,9 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
     """Simulate a block of frames, all advancing one period at a time.
 
     The bound never feeds back into tracking, so each designed policy keeps
-    its period priors and the base design and roll each (period, frame)
-    used, and logs the bounds once the block's periods are done.
+    its period priors, rolled back into the coordinates of the base design
+    each (period, frame) used, and logs the bounds once the block's periods
+    are done.
     """
     n_steps = config.p_ttis - 1
     init, true, gains = _trajectories(config, model, frames)
@@ -299,7 +300,6 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
     gub = {pol: np.full((len(frames), n_steps), np.nan) for pol in config.policies}
     priors = {pol: np.empty((n_steps, len(frames), config.n_grid)) for pol in schedulers}
     slots = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in schedulers}
-    rolls = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in schedulers}
     used = {pol: {} for pol in schedulers}  # id(base) -> (slot, base)
     beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in schedulers}
     prev_est = {pol: init for pol in schedulers}
@@ -319,7 +319,6 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
                 continue
 
             prior = propagate_prior(beliefs[pol], model)
-            priors[pol][step] = prior.probs
             indices, which = np.unique(prev_est[pol], return_inverse=True)
             designs = [schedulers[pol].beams_for_index(int(i)) for i in indices]
             slot = [
@@ -327,7 +326,9 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
                 for d in designs
             ]
             slots[pol][step] = np.asarray(slot)[which]
-            rolls[pol][step] = np.array([d.roll for d in designs])[which]
+            roll = np.array([d.roll for d in designs])[which]
+            shift = (np.arange(config.n_grid) + roll[:, None]) % config.n_grid
+            priors[pol][step] = np.take_along_axis(prior.probs, shift, axis=1)
             sensing = SensingMatrix(
                 matrix=np.stack([d.sensing.matrix for d in designs])[which]
             )
@@ -338,7 +339,7 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
             prev_est[pol] = est[pol][:, step] = map_estimate(beliefs[pol])
     for pol in schedulers:
         bases = [d for _, d in used[pol].values()]
-        gub[pol] = _log_bounds(priors[pol], slots[pol], rolls[pol], bases, snr)
+        gub[pol] = _log_bounds(priors[pol], slots[pol], bases, snr)
 
     out = {}
     for pol in config.policies:

@@ -6,20 +6,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import beamtrack
-from beamtrack import harness
+from beamtrack import cli, harness
 from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
     ConfigError,
     _fmt,
-    _trials_csv,
+    _trials_pieces,
+    _write,
     load_config,
     main,
     parse_prior_spec,
@@ -95,6 +97,31 @@ class TestConfigLoading:
         assert code == 2
         err = capsys.readouterr().err
         assert "n_grid = 16 weights" in err and f"got {count}" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            (["0"] * 16, "sum to zero"),
+            (["1"] * 15 + ["inf"], "finite and nonnegative"),
+            (["1"] * 15 + ["nan"], "finite and nonnegative"),
+            (["1"] * 15 + ["-1"], "finite and nonnegative"),
+            (["1e308"] * 16, "sum to infinity"),
+        ],
+        ids=["zero", "inf", "nan", "negative", "overflow"],
+    )
+    def test_prior_file_weights(self, tmp_path, capsys, weights, message):
+        # weights are checked before they are normalized: one message per
+        # fault and no numpy warning (made an error here) on the way
+        cfg = _write_config(tmp_path)
+        pfile = tmp_path / "prior.txt"
+        pfile.write_text("\n".join(weights))
+        out = tmp_path / "x.json"
+        code = main(["optimize", "--config", cfg, "--prior", f"file:{pfile}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
         assert not out.exists()
 
     # (field named in the message, config overrides): one bad value or more
@@ -329,25 +356,64 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
 
 
+def _streamed(trials, path):
+    """trials.csv as the writer puts it on disk, checked against its digest."""
+    digest = _write(path, _trials_pieces(trials))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    return path.read_text()
+
+
+def _small_trials():
+    """A 7-row, two-policy table with NaN bounds of both signs."""
+    rows = np.zeros(7, dtype=TRIAL_DTYPE)
+    rows["frame"] = [0, 1, 2, 3, 40000, 5, 6]
+    rows["tti"] = [2, 3, 4, 5, 6, 7, 8]
+    rows["true_index"] = [0, 63, 5, 7, 1, 2, 3]
+    rows["est_index"] = [0, 62, 5, 6, 1, 2, 4]
+    rows["error"] = rows["true_index"] != rows["est_index"]
+    rows["gamma_ub"] = [np.nan, 1e-300, 0.0, 1.5, 0.123456789012345, -np.nan, 2e-7]
+    return {"psa_optimized": rows, "beam_cycling": rows[::-1]}
+
+
 class TestTrialsCsv:
-    def test_matches_per_row_formatting(self):
+    def test_matches_per_row_formatting(self, tmp_path):
         # the column-wise writer prints every cell as the per-row one did
-        rows = np.zeros(7, dtype=TRIAL_DTYPE)
-        rows["frame"] = [0, 1, 2, 3, 40000, 5, 6]
-        rows["tti"] = [2, 3, 4, 5, 6, 7, 8]
-        rows["true_index"] = [0, 63, 5, 7, 1, 2, 3]
-        rows["est_index"] = [0, 62, 5, 6, 1, 2, 4]
-        rows["error"] = rows["true_index"] != rows["est_index"]
-        rows["gamma_ub"] = [np.nan, 1e-300, 0.0, 1.5, 0.123456789012345, -np.nan, 2e-7]
-        trials = {"psa_optimized": rows, "beam_cycling": rows[::-1]}
+        trials = _small_trials()
         want = [",".join(TRIAL_COLUMNS)]
         for policy in sorted(trials):
             for row in trials[policy]:
                 cells = [str(int(row[name])) for name in TRIAL_COLUMNS[1:-1]]
                 want.append(",".join([policy, *cells, _fmt(float(row["gamma_ub"]))]))
-        got = _trials_csv(trials)
+        got = _streamed(trials, tmp_path / "trials.csv")
         assert got == "\n".join(want) + "\n"
         assert {"nan", "1e-300", "0"} <= {line.split(",")[-1] for line in got.split()}
+
+    def test_chunk_size_keeps_text(self, tmp_path, monkeypatch):
+        # pieces of 3 rows split both policies mid-table; the file is the same
+        trials = _small_trials()
+        whole = _streamed(trials, tmp_path / "whole.csv")
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+        assert _streamed(trials, tmp_path / "pieces.csv") == whole
+
+    def test_peak_memory_is_one_piece(self, tmp_path):
+        # 400k rows make a 17 MB file; formatting it whole traced 93 MB
+        rng = np.random.default_rng(0)
+        rows = np.zeros(200_000, dtype=TRIAL_DTYPE)
+        rows["frame"] = np.arange(len(rows)) // 9
+        rows["tti"] = np.arange(len(rows)) % 9 + 2
+        rows["true_index"] = rng.integers(64, size=len(rows))
+        rows["est_index"] = rng.integers(64, size=len(rows))
+        rows["gamma_ub"] = rng.random(len(rows))
+        trials = {"psa_optimized": rows, "directional_tep": rows}
+        path = tmp_path / "trials.csv"
+        tracemalloc.start()
+        try:
+            _write(path, _trials_pieces(trials))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 16e6
+        assert peak < 4e6
 
 
 class TestSweepCommand:
@@ -367,6 +433,8 @@ class TestSweepCommand:
             "trials_beta_0.1.csv",
             "trials_beta_0.5.csv",
         }
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_snr_sweep(self, tmp_path):
         cfg = _write_config(tmp_path, {"snr_db": [0.0, 10.0], "policy": "beam_cycling"})

@@ -1,5 +1,8 @@
 """Monte-Carlo harness tests: reproducibility, shared randomness, baselines."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from beamtrack.harness import (
 )
 from beamtrack.optimizer import BeamScheduler, PsaConfig
 from beamtrack.tracking import (
+    BeamMatrix,
     Belief,
     PilotObservation,
     map_estimate,
@@ -400,6 +404,29 @@ class TestBlockedLoop:
         tail = harness._run_frames(cfg, 13, 30)
         for pol in cfg.policies:
             assert _trials_equal(tail[pol], whole[pol][whole[pol]["frame"] >= 13])
+
+    def test_log_bounds_peak_memory(self):
+        # priors are stored in their base design's coordinates, so a wrap
+        # block goes to the kernel in place: logging traces well under one
+        # copy of its priors (rolling them at log time traced 15 MB here)
+        n_steps, n_frames, n = 9, 1024, 64
+        rng = np.random.default_rng(1)
+        model = build_markov(n, 0.2, 5)
+        priors = model.transition[rng.integers(n, size=(n_steps, n_frames))]
+        codebook = build_codebook(build_grid(n), 32)
+        sensing = sensing_matrix(BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (32, 2))), codebook)
+        want = kernels.gamma_ub(
+            priors.reshape(-1, n), sensing.gram_abs2, sensing.col_norms_sq, 10.0
+        )
+        slots = np.zeros((n_steps, n_frames), dtype=int)
+        tracemalloc.start()
+        try:
+            got = harness._log_bounds(priors, slots, [SimpleNamespace(sensing=sensing)], 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want.reshape(n_steps, n_frames).T)
+        assert peak < priors.nbytes / 2
 
 
 class TestSweep:
