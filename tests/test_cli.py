@@ -396,7 +396,7 @@ class TestTrialsCsv:
         assert _streamed(trials, tmp_path / "pieces.csv") == whole
 
     def test_peak_memory_is_one_piece(self, tmp_path):
-        # 400k rows make a 17 MB file; formatting it whole traced 93 MB
+        # 400k rows make an 18 MB file; formatting it whole traced 98 MB
         rng = np.random.default_rng(0)
         rows = np.zeros(200_000, dtype=TRIAL_DTYPE)
         rows["frame"] = np.arange(len(rows)) // 9

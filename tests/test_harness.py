@@ -408,7 +408,7 @@ class TestBlockedLoop:
     def test_log_bounds_peak_memory(self):
         # priors are stored in their base design's coordinates, so a wrap
         # block goes to the kernel in place: logging traces well under one
-        # copy of its priors (rolling them at log time traced 15 MB here)
+        # copy of its priors (rolling them at log time traced 16 MB here)
         n_steps, n_frames, n = 9, 1024, 64
         rng = np.random.default_rng(1)
         model = build_markov(n, 0.2, 5)
