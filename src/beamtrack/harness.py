@@ -228,13 +228,6 @@ def _trajectories(config: ExperimentConfig, model, frames):
     return init, indices, gains
 
 
-def _trajectory(config: ExperimentConfig, model, frame: int):
-    """One frame's :func:`_trajectories` entry as (init, indices, gains)
-    Python scalars and lists."""
-    init, indices, gains = _trajectories(config, model, [frame])
-    return int(init[0]), indices[0].tolist(), gains[0].tolist()
-
-
 def _noise_normals(config: ExperimentConfig, frames, tti: int, width: int) -> np.ndarray:
     """First ``width`` normals of each frame's ``default_rng([seed, frame,
     tti, 1])`` noise stream, all seeded in one step.
@@ -280,10 +273,13 @@ def _log_bounds(priors: np.ndarray, slots: np.ndarray, bases: list, snr: float) 
     return out.reshape(priors.shape[:2]).T
 
 
-def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, cycling):
+def _run_block(
+    config: ExperimentConfig, frames: range, model, snr, scheduler, designed, cycling
+):
     """Simulate a block of frames, all advancing one period at a time.
 
-    The bound never feeds back into tracking, so each designed policy keeps
+    ``scheduler`` designs the beams of the ``designed`` policies.  The bound
+    never feeds back into tracking, so each designed policy keeps
     its period priors, rolled back into the coordinates of the base design
     each (period, frame) used, and logs the bounds once the block's periods
     are done.
@@ -298,11 +294,11 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
 
     est = {pol: np.empty((len(frames), n_steps), dtype=int) for pol in config.policies}
     gub = {pol: np.full((len(frames), n_steps), np.nan) for pol in config.policies}
-    priors = {pol: np.empty((n_steps, len(frames), config.n_grid)) for pol in schedulers}
-    slots = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in schedulers}
-    used = {pol: {} for pol in schedulers}  # id(base) -> (slot, base)
-    beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in schedulers}
-    prev_est = {pol: init for pol in schedulers}
+    priors = {pol: np.empty((n_steps, len(frames), config.n_grid)) for pol in designed}
+    slots = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in designed}
+    used = {pol: {} for pol in designed}  # id(base) -> (slot, base)
+    beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in designed}
+    prev_est = {pol: init for pol in designed}
     for step in range(n_steps):
         tti = step + 2
         normals = (
@@ -320,7 +316,7 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
 
             prior = propagate_prior(beliefs[pol], model)
             indices, which = np.unique(prev_est[pol], return_inverse=True)
-            designs = [schedulers[pol].beams_for_index(int(i)) for i in indices]
+            designs = [scheduler.beams_for_index(pol, int(i)) for i in indices]
             slot = [
                 used[pol].setdefault(id(d.base), (len(used[pol]), d.base))[0]
                 for d in designs
@@ -337,7 +333,7 @@ def _run_block(config: ExperimentConfig, frames: range, model, snr, schedulers, 
                 y = y + _noise(normals, config.m_beams, snr)
             beliefs[pol] = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
             prev_est[pol] = est[pol][:, step] = map_estimate(beliefs[pol])
-    for pol in schedulers:
+    for pol in designed:
         bases = [d for _, d in used[pol].values()]
         gub[pol] = _log_bounds(priors[pol], slots[pol], bases, snr)
 
@@ -365,41 +361,26 @@ def _run_frames(config: ExperimentConfig, frame_lo: int, frame_hi: int):
         config.n_grid, float(config.beta), config.sigma, edge_mode=config.edge_mode
     )
 
-    searches: dict = {}  # one directional search per prior for both policies
-    schedulers = {
-        pol: BeamScheduler(
-            model,
-            codebook,
-            snr,
-            config.m_beams,
-            pol,
-            psa_config=config.psa,
-            searches=searches,
-        )
-        for pol in config.policies
-        if pol != "beam_cycling"
-    }
+    scheduler = BeamScheduler(model, codebook, snr, config.m_beams, psa_config=config.psa)
+    designed = [pol for pol in config.policies if pol != "beam_cycling"]
     cycling = (
         beam_cycling_probes(config.n_tx, codebook)
         if "beam_cycling" in config.policies
         else None
     )
 
-    blocks = [
-        _run_block(
-            config,
-            range(lo, min(lo + BLOCK_FRAMES, frame_hi)),
-            model,
-            snr,
-            schedulers,
-            cycling,
-        )
-        for lo in range(frame_lo, frame_hi, BLOCK_FRAMES)
-    ]
-    return {
-        pol: np.concatenate([block[pol] for block in blocks])
+    n_steps = config.p_ttis - 1
+    trials = {
+        pol: np.empty((frame_hi - frame_lo) * n_steps, dtype=TRIAL_DTYPE)
         for pol in config.policies
     }
+    for lo in range(frame_lo, frame_hi, BLOCK_FRAMES):
+        frames = range(lo, min(lo + BLOCK_FRAMES, frame_hi))
+        block = _run_block(config, frames, model, snr, scheduler, designed, cycling)
+        rows = slice((lo - frame_lo) * n_steps, (frames.stop - frame_lo) * n_steps)
+        for pol in config.policies:
+            trials[pol][rows] = block[pol]
+    return trials
 
 
 def _worker_count() -> int:
@@ -449,14 +430,16 @@ def run_experiment(
         # Imported here: multiprocessing costs every serial run's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_run_frames, [config] * len(blocks), *zip(*blocks))
-            )
+        n_steps = config.p_ttis - 1
         trials = {
-            pol: np.concatenate([part[pol] for part in parts])
+            pol: np.empty(config.n_frames * n_steps, dtype=TRIAL_DTYPE)
             for pol in config.policies
         }
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_run_frames, [config] * len(blocks), *zip(*blocks))
+            for (lo, hi), part in zip(blocks, parts):
+                for pol in config.policies:
+                    trials[pol][lo * n_steps : hi * n_steps] = part[pol]
 
     summary = [
         _summary_row(f"tti={int(tti)}", pol, trials[pol][trials[pol]["tti"] == tti])

@@ -177,9 +177,8 @@ def _pair_constants(gram_abs2, norms_sq, snr) -> tuple[np.ndarray, ...]:
     thr, nl_low, nl_high, ratio_low, ratio_high = _fold(lam1, lam2)
     n = lam1.shape[-1]
     diag = np.arange(n)
+    # Without this the diagonal's mu would be P(0 <= 0) = 1.
     thr[..., diag, diag] = 0.0
-    nl_low[..., diag, diag] = np.inf
-    ratio_low[..., diag, diag] = 0.0
     logdet_diff = logdet[..., :, None] - logdet[..., None, :]
     terms = (logdet_diff, thr, nl_low, nl_high, ratio_low, ratio_high)
     return tuple(term.reshape(*lam1.shape[:-2], n * n) for term in terms)

@@ -101,9 +101,8 @@ def _batch_size(n_support: int) -> int:
 def _bound_scores(sensing: np.ndarray, prior: np.ndarray, snr: float) -> np.ndarray:
     """Union bounds of a (B, M, S) stack of sensing matrices on the prior's
     S support columns, against that (S,) prior."""
-    norms_sq = np.sum(np.abs(sensing) ** 2, axis=-2)
-    gram_abs2 = np.abs(np.swapaxes(sensing.conj(), -1, -2) @ sensing) ** 2
-    return kernels.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+    stack = SensingMatrix(matrix=sensing)
+    return kernels.gamma_ub_batch(prior, stack.gram_abs2, stack.col_norms_sq, snr)
 
 
 def _phase_scores(
@@ -303,19 +302,16 @@ class DesignedBeams:
 
 
 class BeamScheduler:
-    """Per-period beam design with caching.
+    """Per-period beam design for both designed policies, with caching.
 
     Each period's beams are designed for the prior propagated from the
-    previous point estimate, ``model.transition[index]``, and cached by that
-    index (the SNR is fixed at construction).  For the wrap-around Markov
-    model the design problem is circularly shift-invariant, so every design
-    is derived from the index-0 base design by a per-element phase ramp,
-    whose sensing matrix is the base's with its columns rolled.
-
-    ``searches`` caches directional codeword searches by the codebook, SNR,
-    beam count and the prior's exact bits.  Schedulers that share it run
-    the search once per prior, so a directional-policy design and the
-    directional seed of a PSA design on the same prior share one search.
+    previous point estimate, ``model.transition[index]``, and cached by
+    policy and index (the SNR is fixed at construction).  The directional
+    codeword search on that prior runs once per index and serves both the
+    directional design and the seed of the PSA design.  For the wrap-around
+    Markov model the design problem is circularly shift-invariant, so every
+    design is derived from the index-0 base design by a per-element phase
+    ramp, whose sensing matrix is the base's with its columns rolled.
     """
 
     def __init__(
@@ -324,39 +320,28 @@ class BeamScheduler:
         codebook: Codebook,
         snr: float,
         m_beams: int,
-        policy: str,
         psa_config: PsaConfig | None = None,
-        *,
-        searches: dict,
     ):
-        if policy not in ("psa_optimized", "directional_tep"):
-            raise ValueError(f"unknown design policy {policy!r}")
         if model.n_points != codebook.n_points:
             raise ValueError("model and codebook grids differ")
         self.model = model
         self.codebook = codebook
         self.snr = float(snr)
         self.m_beams = int(m_beams)
-        self.policy = policy
         self.psa_config = psa_config or PsaConfig()
         self.design_count = 0
-        self._index_cache: dict[int, DesignedBeams] = {}
-        self._searches = searches
-        matrix = codebook.matrix
-        self._setting = (matrix.shape, matrix.tobytes(), self.snr, self.m_beams)
+        self._designs: dict[tuple[str, int], DesignedBeams] = {}
+        self._searches: dict[int, tuple[tuple[int, ...], float]] = {}
 
-    def _directional(self, prior: Belief) -> tuple[tuple[int, ...], float]:
-        key = (self._setting, prior.probs.tobytes())
-        found = self._searches.get(key)
-        if found is None:
-            found = select_directional_pair(prior, self.codebook, self.snr, self.m_beams)
-            self._searches[key] = found
-        return found
-
-    def _design(self, prior: Belief) -> DesignedBeams:
+    def _design(self, policy: str, index: int) -> DesignedBeams:
         self.design_count += 1
-        indices, score = self._directional(prior)
-        if self.policy == "directional_tep":
+        prior = Belief(self.model.transition[index])
+        if index not in self._searches:
+            self._searches[index] = select_directional_pair(
+                prior, self.codebook, self.snr, self.m_beams
+            )
+        indices, score = self._searches[index]
+        if policy == "directional_tep":
             beams = BeamMatrix(phases=steering_phases(self.codebook, indices))
             return DesignedBeams(
                 beams=beams,
@@ -399,14 +384,17 @@ class BeamScheduler:
             roll=offset,
         )
 
-    def beams_for_index(self, index: int) -> DesignedBeams:
-        """Design for the prior propagated from a point estimate at ``index``."""
-        cached = self._index_cache.get(index)
+    def beams_for_index(self, policy: str, index: int) -> DesignedBeams:
+        """``policy``'s design for the prior propagated from a point
+        estimate at ``index``."""
+        if policy not in ("psa_optimized", "directional_tep"):
+            raise ValueError(f"unknown design policy {policy!r}")
+        cached = self._designs.get((policy, index))
         if cached is not None:
             return cached
         if self.model.edge_mode == "wrap" and index != 0:
-            designed = self._shift(self.beams_for_index(0), index)
+            designed = self._shift(self.beams_for_index(policy, 0), index)
         else:
-            designed = self._design(Belief(self.model.transition[index]))
-        self._index_cache[index] = designed
+            designed = self._design(policy, index)
+        self._designs[policy, index] = designed
         return designed

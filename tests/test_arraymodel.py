@@ -13,7 +13,7 @@ from beamtrack.arraymodel import (
     physical_to_normalized,
     steering_vector,
 )
-from beamtrack.harness import ExperimentConfig, _trajectories, _trajectory
+from beamtrack.harness import ExperimentConfig, _trajectories
 
 
 @lru_cache(maxsize=None)
@@ -212,6 +212,7 @@ class TestEvolve:
             n_grid=n_grid, beta=beta, sigma=5, p_ttis=10, n_frames=300, seed=7
         )
         model = build_markov(n_grid, beta, 5, edge_mode=edge_mode)
+        got_init, got_indices, got_gains = _trajectories(config, model, range(config.n_frames))
         for frame in range(config.n_frames):
             rng = np.random.default_rng([config.seed, frame, 0])
             init = int(rng.integers(n_grid))
@@ -220,7 +221,8 @@ class TestEvolve:
                 indices.append(int(rng.choice(n_grid, p=model.transition[indices[-1]])))
                 re, im = rng.standard_normal(2)
                 gains.append(complex(re, im) / np.sqrt(2.0))
-            assert _trajectory(config, model, frame) == (init, indices[1:], gains)
+            got = (int(got_init[frame]), got_indices[frame].tolist(), got_gains[frame].tolist())
+            assert got == (init, indices[1:], gains)
 
     def test_gain_moments(self):
         _, walks = _walks(8, 0.5, 2, p_ttis=101, n_frames=1000)

@@ -1,6 +1,7 @@
 """Monte-Carlo harness tests: reproducibility, shared randomness, baselines."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,13 @@ def _trials_equal(a, b):
         elif not np.array_equal(a[name], b[name]):
             return False
     return True
+
+
+def _trajectory(config, model, frame):
+    """One frame's ``harness._trajectories`` entry as (init, indices, gains)
+    Python scalars and lists."""
+    init, indices, gains = harness._trajectories(config, model, [frame])
+    return int(init[0]), indices[0].tolist(), gains[0].tolist()
 
 
 def _config(**overrides):
@@ -138,7 +146,7 @@ class TestStreams:
                 re, im = rng.standard_normal(2)
                 gains.append(complex(re, im) / np.sqrt(2.0))
             assert walk == (init, indices[1:], gains)
-            assert harness._trajectory(config, model, frame) == walk
+            assert _trajectory(config, model, frame) == walk
 
 
 class TestBeamCycling:
@@ -234,6 +242,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="scalar"):
             run_experiment(cfg)
 
+    def test_trial_rows_held_once(self):
+        # each policy's rows fill one preallocated array block by block;
+        # keeping the blocks and concatenating them peaked at twice the trial
+        # bytes.  Noiseless, so no per-period noise streams: this runs in ~2 s
+        cfg = _config(
+            n_tx=2, p_ttis=10, n_frames=10_000, policy="beam_cycling", noiseless=True
+        )
+        run_experiment(replace(cfg, n_frames=1))  # lazy imports stay out of the peak
+        tracemalloc.start()
+        try:
+            trials, _ = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * trials["beam_cycling"].nbytes
+
     def test_parallel_matches_serial(self, monkeypatch):
         cfg = _config(n_frames=10, policy="directional_tep")
         serial, _ = run_experiment(cfg)
@@ -258,14 +282,7 @@ def _reference_frames(config, rebuild=False):
     model = build_markov(
         config.n_grid, config.beta, config.sigma, edge_mode=config.edge_mode
     )
-    searches: dict = {}
-    schedulers = {
-        pol: BeamScheduler(
-            model, codebook, snr, config.m_beams, pol, config.psa, searches=searches
-        )
-        for pol in config.policies
-        if pol != "beam_cycling"
-    }
+    scheduler = BeamScheduler(model, codebook, snr, config.m_beams, config.psa)
     cycling = beam_cycling_probes(config.n_tx, codebook)
 
     def noise(frame, tti, m):
@@ -275,7 +292,7 @@ def _reference_frames(config, rebuild=False):
 
     out = {pol: [] for pol in config.policies}
     for frame in range(config.n_frames):
-        init, true_indices, gains = harness._trajectory(config, model, frame)
+        init, true_indices, gains = _trajectory(config, model, frame)
         for pol in config.policies:
             belief, prev_est = Belief.point_mass(config.n_grid, init), init
             for tti, true_idx, gain in zip(range(2, config.p_ttis + 1), true_indices, gains):
@@ -287,7 +304,7 @@ def _reference_frames(config, rebuild=False):
                     out[pol].append((frame, tti, true_idx, est, est != true_idx, np.nan))
                     continue
                 prior = propagate_prior(belief, model)
-                designed = schedulers[pol].beams_for_index(prev_est)
+                designed = scheduler.beams_for_index(pol, prev_est)
                 sensing = designed.sensing
                 if rebuild:
                     sensing = sensing_matrix(designed.beams, codebook)
@@ -297,7 +314,7 @@ def _reference_frames(config, rebuild=False):
                 belief = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
                 est = map_estimate(belief)
                 if config.edge_mode == "wrap" and not rebuild:
-                    base = schedulers[pol].beams_for_index(0).sensing
+                    base = scheduler.beams_for_index(pol, 0).sensing
                     gub = ref.gamma_ub(
                         np.roll(prior.probs, -prev_est),
                         base.gram_abs2,
@@ -357,7 +374,7 @@ class TestBlockedLoop:
         cfg = _config(edge_mode=edge_mode)
         trials = harness._run_frames(cfg, 0, cfg.n_frames)
         model = build_markov(cfg.n_grid, cfg.beta, cfg.sigma, edge_mode=edge_mode)
-        init = [harness._trajectory(cfg, model, f)[0] for f in range(cfg.n_frames)]
+        init = harness._trajectories(cfg, model, range(cfg.n_frames))[0]
         n_steps = cfg.p_ttis - 1
         expected = 0
         for pol in ("psa_optimized", "directional_tep"):

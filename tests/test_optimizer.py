@@ -132,8 +132,8 @@ class TestOptimizeBeams:
         model = build_markov(64, 0.2, 5)
         cb = build_codebook(build_grid(64), 8)
         cfg = PsaConfig(swarm_size=2, max_iters=1)
-        sched = BeamScheduler(model, cb, 10.0, 5, "psa_optimized", cfg, searches={})
-        out = sched.beams_for_index(0)
+        sched = BeamScheduler(model, cb, 10.0, 5, cfg)
+        out = sched.beams_for_index("psa_optimized", 0)
         assert np.isfinite(out.score)
         assert out.beams.phases.shape == (8, 5)
 
@@ -216,24 +216,25 @@ class TestDirectionalPair:
 
 
 class TestScheduler:
-    def _scheduler(self, policy, n=8, n_tx=4, edge_mode="wrap"):
+    def _scheduler(self, n=8, n_tx=4, edge_mode="wrap"):
         model = build_markov(n, 0.5, 2, edge_mode=edge_mode)
         cb = build_codebook(build_grid(n), n_tx)
-        return BeamScheduler(model, cb, 10.0, 2, policy, SMALL, searches={})
+        return BeamScheduler(model, cb, 10.0, 2, SMALL)
 
     def test_wrap_index_designs_once(self):
-        sched = self._scheduler("psa_optimized")
-        designs = [sched.beams_for_index(k) for k in range(8)]
-        assert sched.design_count == 1
-        scores = {d.score for d in designs}
-        assert len(scores) == 1
+        # under wrap each policy designs only at index 0
+        sched = self._scheduler()
+        for policy in ("psa_optimized", "directional_tep"):
+            designs = [sched.beams_for_index(policy, k) for k in range(8)]
+            assert len({d.score for d in designs}) == 1
+        assert sched.design_count == 2
 
     def test_shift_preserves_score(self):
         # a circular shift of the propagated prior maps the designed beams to
         # a per-element phase ramp with identical bound value
-        sched = self._scheduler("psa_optimized")
+        sched = self._scheduler()
         for k in (1, 3, 7):
-            designed = sched.beams_for_index(k)
+            designed = sched.beams_for_index("psa_optimized", k)
             prior_k = Belief(sched.model.transition[k])
             score_k = beam_objective(designed.beams, sched.codebook, prior_k, 10.0)
             assert score_k == pytest.approx(designed.score, rel=1e-10)
@@ -246,11 +247,11 @@ class TestScheduler:
         # phase-ramped beams
         model = build_markov(n, 0.5, 2)
         cb = build_codebook(build_grid(n), n_tx)
-        sched = BeamScheduler(model, cb, 10.0, 2, policy, SMALL, searches={})
-        base = sched.beams_for_index(0)
+        sched = BeamScheduler(model, cb, 10.0, 2, SMALL)
+        base = sched.beams_for_index(policy, 0)
         assert base.base is base and base.roll == 0
         for k in sorted({1, 3, n // 2, n - 1}):
-            shifted = sched.beams_for_index(k)
+            shifted = sched.beams_for_index(policy, k)
             assert shifted.base is base and shifted.roll == k
             rolled = np.roll(base.sensing.matrix, k, axis=-1)
             assert np.array_equal(shifted.sensing.matrix, rolled)
@@ -258,30 +259,33 @@ class TestScheduler:
             np.testing.assert_allclose(shifted.sensing.matrix, rebuilt, rtol=0, atol=1e-12)
 
     def test_unshifted_designs_are_own_base(self):
-        truncate = self._scheduler("directional_tep", edge_mode="truncate")
+        truncate = self._scheduler(edge_mode="truncate")
         for designed in (
-            truncate.beams_for_index(3),
-            self._scheduler("psa_optimized").beams_for_index(0),
+            truncate.beams_for_index("directional_tep", 3),
+            self._scheduler().beams_for_index("psa_optimized", 0),
         ):
             assert designed.base is designed and designed.roll == 0
 
     def test_directional_shift_indices(self):
-        sched = self._scheduler("directional_tep")
-        base = sched.beams_for_index(0)
-        shifted = sched.beams_for_index(3)
+        sched = self._scheduler()
+        base = sched.beams_for_index("directional_tep", 0)
+        shifted = sched.beams_for_index("directional_tep", 3)
         expected = tuple(sorted((i + 3) % 8 for i in base.codeword_indices))
         assert shifted.codeword_indices == expected
 
     def test_truncate_mode_designs_per_index(self):
-        sched = self._scheduler("directional_tep", edge_mode="truncate")
-        sched.beams_for_index(0)
-        sched.beams_for_index(4)
-        assert sched.design_count == 2
+        # one design per policy and index, each cached
+        sched = self._scheduler(edge_mode="truncate")
+        for policy in ("directional_tep", "psa_optimized"):
+            for k in (0, 4):
+                assert sched.beams_for_index(policy, k) is sched.beams_for_index(policy, k)
+        assert sched.design_count == 4
 
-    def test_shared_search_runs_once(self, monkeypatch):
-        # a PSA and a directional scheduler sharing one search cache run the
-        # directional search once per prior, and the PSA design seeds the
-        # swarm with its result
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    def test_shared_search_runs_once(self, monkeypatch, edge_mode):
+        # one scheduler serving both policies runs the directional search
+        # once per designed index, across both policies, and the PSA design
+        # seeds the swarm with its result
         calls = []
         search = optimizer.select_directional_pair
 
@@ -289,49 +293,27 @@ class TestScheduler:
             calls.append(args)
             return search(*args, **kwargs)
 
-        model = build_markov(16, 0.3, 2)
+        model = build_markov(16, 0.3, 2, edge_mode=edge_mode)
         cb = build_codebook(build_grid(16), 8)
-        prior = Belief(model.transition[0])
-        want = _optimize(prior, cb, 10.0, 2, SMALL)
         monkeypatch.setattr(optimizer, "select_directional_pair", counted)
-        searches = {}
-        psa, directional = (
-            BeamScheduler(model, cb, 10.0, 2, policy, SMALL, searches=searches)
-            for policy in ("psa_optimized", "directional_tep")
-        )
-        got = psa.beams_for_index(0)
-        indices = directional.beams_for_index(0).codeword_indices
-        assert len(calls) == 1
-        assert np.array_equal(got.beams.phases, want.beams.phases)
-        assert got.score == want.score
-        assert indices == search(prior, cb, 10.0, 2)[0]
-
-    @pytest.mark.parametrize(
-        "other",
-        [
-            {"snr": 100.0},
-            {"m_beams": 3},
-            {"cb": build_codebook(build_grid(16), 4)},
-        ],
-    )
-    def test_shared_search_keyed_by_setting(self, other):
-        # schedulers that share a search cache but differ in codebook, SNR
-        # or beam count each run their own search on the same prior
-        model = build_markov(16, 0.3, 2)
-        setting = {"cb": build_codebook(build_grid(16), 8), "snr": 10.0, "m_beams": 2}
-        prior = Belief(model.transition[0])
-        searches = {}
-        for kwargs in (setting, {**setting, **other}):
-            cb, snr, m_beams = kwargs["cb"], kwargs["snr"], kwargs["m_beams"]
-            sched = BeamScheduler(
-                model, cb, snr, m_beams, "directional_tep", searches=searches
-            )
-            got = sched.beams_for_index(0).codeword_indices
-            assert got == select_directional_pair(prior, cb, snr, m_beams)[0]
-        assert len(searches) == 2
+        sched = BeamScheduler(model, cb, 10.0, 2, SMALL)
+        indices = (0, 5, 15, 5, 0)
+        for policy in ("psa_optimized", "directional_tep"):
+            for k in indices:
+                sched.beams_for_index(policy, k)
+        designed = {0} if edge_mode == "wrap" else set(indices)
+        assert len(calls) == len(designed)
+        monkeypatch.undo()
+        for k in designed:
+            prior = Belief(model.transition[k])
+            want = _optimize(prior, cb, 10.0, 2, SMALL)
+            got = sched.beams_for_index("psa_optimized", k)
+            assert np.array_equal(got.beams.phases, want.beams.phases)
+            assert got.score == want.score
+            got = sched.beams_for_index("directional_tep", k).codeword_indices
+            assert got == search(prior, cb, 10.0, 2)[0]
 
     def test_invalid_policy(self):
-        model = build_markov(8, 0.5, 2)
-        cb = build_codebook(build_grid(8), 4)
-        with pytest.raises(ValueError):
-            BeamScheduler(model, cb, 10.0, 2, "beam_cycling", searches={})
+        sched = self._scheduler()
+        with pytest.raises(ValueError, match="unknown design policy"):
+            sched.beams_for_index("beam_cycling", 0)
