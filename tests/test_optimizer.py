@@ -281,8 +281,7 @@ class TestScheduler:
                 assert sched.beams_for_index(policy, k) is sched.beams_for_index(policy, k)
         assert sched.design_count == 4
 
-    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
-    def test_shared_search_runs_once(self, monkeypatch, edge_mode):
+    def test_shared_search_runs_once(self, monkeypatch):
         # one scheduler serving both policies runs the directional search
         # once per designed index, across both policies, and the PSA design
         # seeds the swarm with its result
@@ -293,25 +292,26 @@ class TestScheduler:
             calls.append(args)
             return search(*args, **kwargs)
 
-        model = build_markov(16, 0.3, 2, edge_mode=edge_mode)
         cb = build_codebook(build_grid(16), 8)
-        monkeypatch.setattr(optimizer, "select_directional_pair", counted)
-        sched = BeamScheduler(model, cb, 10.0, 2, SMALL)
         indices = (0, 5, 15, 5, 0)
-        for policy in ("psa_optimized", "directional_tep"):
-            for k in indices:
-                sched.beams_for_index(policy, k)
-        designed = {0} if edge_mode == "wrap" else set(indices)
-        assert len(calls) == len(designed)
-        monkeypatch.undo()
-        for k in designed:
-            prior = Belief(model.transition[k])
-            want = _optimize(prior, cb, 10.0, 2, SMALL)
-            got = sched.beams_for_index("psa_optimized", k)
-            assert np.array_equal(got.beams.phases, want.beams.phases)
-            assert got.score == want.score
-            got = sched.beams_for_index("directional_tep", k).codeword_indices
-            assert got == search(prior, cb, 10.0, 2)[0]
+        for edge_mode, designed in (("wrap", {0}), ("truncate", set(indices))):
+            model = build_markov(16, 0.3, 2, edge_mode=edge_mode)
+            sched = BeamScheduler(model, cb, 10.0, 2, SMALL)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "select_directional_pair", counted)
+                for policy in ("psa_optimized", "directional_tep"):
+                    for k in indices:
+                        sched.beams_for_index(policy, k)
+            assert len(calls) == len(designed), edge_mode
+            for k in designed:
+                prior = Belief(model.transition[k])
+                want = _optimize(prior, cb, 10.0, 2, SMALL)
+                got = sched.beams_for_index("psa_optimized", k)
+                assert np.array_equal(got.beams.phases, want.beams.phases)
+                assert got.score == want.score
+                got = sched.beams_for_index("directional_tep", k).codeword_indices
+                assert got == search(prior, cb, 10.0, 2)[0]
 
     def test_invalid_policy(self):
         sched = self._scheduler()
