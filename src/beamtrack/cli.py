@@ -187,7 +187,6 @@ def _parse_index(spec: str, n: int) -> int:
 
 
 def cmd_optimize(args) -> int:
-    started = time.time()
     config = load_config(args.config)
     snr_db = config.snr_db[0] if config.swept == "snr_db" else config.snr_db
     try:

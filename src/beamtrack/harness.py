@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import kernels
 from .arraymodel import build_codebook, build_grid, build_markov
 from .optimizer import BeamScheduler, PsaConfig, check_int, check_real
 from .tracking import (
@@ -41,8 +40,26 @@ __all__ = [
 ]
 
 POLICIES = ("psa_optimized", "directional_tep", "beam_cycling")
+TRIAL_DTYPE = np.dtype(
+    [
+        ("frame", "i4"),
+        ("tti", "i2"),
+        ("true_index", "i2"),
+        ("est_index", "i2"),
+        ("error", "i1"),
+        ("gamma_ub", "f8"),
+    ]
+)
+
 # Smallest accepted value of each integer field.
 INT_MINIMA = dict(n_tx=1, n_grid=2, m_beams=1, sigma=0, p_ttis=2, n_frames=1, seed=0)
+# Largest accepted value of each integer field that a trial column stores:
+# tti runs up to p_ttis, the indices to n_grid - 1 and frame to n_frames - 1.
+INT_MAXIMA = dict(
+    p_ttis=np.iinfo(TRIAL_DTYPE["tti"]).max,
+    n_grid=np.iinfo(TRIAL_DTYPE["true_index"]).max + 1,
+    n_frames=np.iinfo(TRIAL_DTYPE["frame"]).max + 1,
+)
 
 # Accepted range of each real-valued field, or of each value of its sweep
 # list; a sweep runs over one of these fields.  The bound kernel squares the
@@ -54,17 +71,6 @@ FLOAT_RANGES = {"beta": (0.0, 1.0), "snr_db": (-300.0, 300.0)}
 # beliefs, sensing matrices and noise take O(BLOCK_FRAMES * N * M) memory
 # whatever n_frames is.
 BLOCK_FRAMES = 256
-
-TRIAL_DTYPE = np.dtype(
-    [
-        ("frame", "i4"),
-        ("tti", "i2"),
-        ("true_index", "i2"),
-        ("est_index", "i2"),
-        ("error", "i1"),
-        ("gamma_ub", "f8"),
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class ExperimentConfig:
     def __post_init__(self):
         """Check every field, so that a config that loads can run."""
         for name, lo in INT_MINIMA.items():
-            check_int(name, getattr(self, name), lo)
+            check_int(name, getattr(self, name), lo, INT_MAXIMA.get(name, np.inf))
         if self.n_grid < 2 * self.sigma + 1:
             raise ValueError(
                 f"n_grid must be >= 2*sigma + 1 = {2 * self.sigma + 1}, so that the "
@@ -128,6 +134,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} list is empty")
             for v in values:
                 check_real(name, v, lo, hi)
+            # Each sweep point keys its results and, printed as :g, names its
+            # trials file and summary rows.
+            labels = {f"{float(v):g}" for v in values}
+            if min(len(labels), len({float(v) for v in values})) < len(values):
+                raise ValueError(
+                    f"{name} list values must differ as numbers and as printed, "
+                    f"got {list(values)}"
+                )
         if all(isinstance(getattr(self, name), (list, tuple)) for name in FLOAT_RANGES):
             raise ValueError("beta and snr_db are both lists: exactly one parameter may be swept")
 
@@ -248,41 +262,15 @@ def _noise(normals: np.ndarray, m: int, snr: float) -> np.ndarray:
     return (normals[:, :m] + 1j * normals[:, m : 2 * m]) * np.sqrt(0.5 / snr)
 
 
-def _log_bounds(priors: np.ndarray, slots: np.ndarray, bases: list, snr: float) -> np.ndarray:
-    """Union bound of each (period, frame) prior against the design it used,
-    one kernel call per base design.
-
-    ``priors`` is (n_steps, F, N), each prior stored in the coordinates of
-    its design's base: a design's bound on a prior is its base's bound on
-    the prior rolled back by the design's roll.  ``slots`` (n_steps, F)
-    indexes ``bases``.  Returns the (F, n_steps) bounds.
-    """
-    flat = priors.reshape(-1, priors.shape[-1])
-    slots = slots.ravel()
-    out = np.empty(len(slots))
-    for k, base in enumerate(bases):
-        rows = np.flatnonzero(slots == k)
-        sensing = base.sensing
-        # A block with one base (every wrap block) is scored in place.
-        out[rows] = kernels.gamma_ub(
-            flat if len(rows) == len(flat) else flat[rows],
-            sensing.gram_abs2,
-            sensing.col_norms_sq,
-            snr,
-        )
-    return out.reshape(priors.shape[:2]).T
-
-
 def _run_block(
     config: ExperimentConfig, frames: range, model, snr, scheduler, designed, cycling
 ):
     """Simulate a block of frames, all advancing one period at a time.
 
-    ``scheduler`` designs the beams of the ``designed`` policies.  The bound
-    never feeds back into tracking, so each designed policy keeps
-    its period priors, rolled back into the coordinates of the base design
-    each (period, frame) used, and logs the bounds once the block's periods
-    are done.
+    ``scheduler`` serves the beams of the ``designed`` policies.  The bound
+    never feeds back into tracking, so each designed policy keeps its period
+    priors as the scheduler returns them, with their designed indices, and
+    logs the bounds once the block's periods are done.
     """
     n_steps = config.p_ttis - 1
     init, true, gains = _trajectories(config, model, frames)
@@ -295,8 +283,7 @@ def _run_block(
     est = {pol: np.empty((len(frames), n_steps), dtype=int) for pol in config.policies}
     gub = {pol: np.full((len(frames), n_steps), np.nan) for pol in config.policies}
     priors = {pol: np.empty((n_steps, len(frames), config.n_grid)) for pol in designed}
-    slots = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in designed}
-    used = {pol: {} for pol in designed}  # id(base) -> (slot, base)
+    keys = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in designed}
     beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in designed}
     prev_est = {pol: init for pol in designed}
     for step in range(n_steps):
@@ -315,18 +302,8 @@ def _run_block(
                 continue
 
             prior = propagate_prior(beliefs[pol], model)
-            indices, which = np.unique(prev_est[pol], return_inverse=True)
-            designs = [scheduler.beams_for_index(pol, int(i)) for i in indices]
-            slot = [
-                used[pol].setdefault(id(d.base), (len(used[pol]), d.base))[0]
-                for d in designs
-            ]
-            slots[pol][step] = np.asarray(slot)[which]
-            roll = np.array([d.roll for d in designs])[which]
-            shift = (np.arange(config.n_grid) + roll[:, None]) % config.n_grid
-            priors[pol][step] = np.take_along_axis(prior.probs, shift, axis=1)
-            sensing = SensingMatrix(
-                matrix=np.stack([d.sensing.matrix for d in designs])[which]
+            sensing, priors[pol][step], keys[pol][step] = scheduler.serve(
+                pol, prev_est[pol], prior.probs
             )
             y = gains[:, step, None] * sensing.matrix[rows, :, true[:, step]]
             if normals is not None:
@@ -334,8 +311,7 @@ def _run_block(
             beliefs[pol] = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
             prev_est[pol] = est[pol][:, step] = map_estimate(beliefs[pol])
     for pol in designed:
-        bases = [d for _, d in used[pol].values()]
-        gub[pol] = _log_bounds(priors[pol], slots[pol], bases, snr)
+        gub[pol] = scheduler.log_bounds(pol, priors[pol], keys[pol]).T
 
     out = {}
     for pol in config.policies:

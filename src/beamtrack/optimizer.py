@@ -7,11 +7,12 @@ bound on the tracking error probability for the design prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .arraymodel import Codebook, MarkovModel
@@ -39,13 +40,15 @@ MAX_EXHAUSTIVE_CANDIDATES = 1_000_000
 BATCH_PAIRS = 1 << 13
 
 
-def check_int(name: str, value, lo: int) -> None:
+def check_int(name: str, value, lo: int, hi: float = np.inf) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer, not
-    a bool, of at least ``lo``."""
+    a bool, in [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
 def check_real(name: str, value, lo: float, hi: float = np.inf, *, open_lo=False) -> None:
@@ -282,23 +285,12 @@ def optimize_beams(
 
 @dataclass(frozen=True)
 class DesignedBeams:
-    """A beam design bundled with its sensing matrix and bound score.
-
-    A design derived by a circular shift records its ``base`` design and the
-    ``roll``: its sensing matrix is the base's with the columns rolled by
-    ``roll``.  Any other design is its own base with roll 0.
-    """
+    """A beam design bundled with its sensing matrix and bound score."""
 
     beams: BeamMatrix
     sensing: SensingMatrix
     score: float
     codeword_indices: tuple[int, ...] | None = None
-    base: DesignedBeams | None = field(default=None, repr=False, compare=False)
-    roll: int = 0
-
-    def __post_init__(self):
-        if self.base is None:
-            object.__setattr__(self, "base", self)
 
 
 class BeamScheduler:
@@ -306,12 +298,19 @@ class BeamScheduler:
 
     Each period's beams are designed for the prior propagated from the
     previous point estimate, ``model.transition[index]``, and cached by
-    policy and index (the SNR is fixed at construction).  The directional
-    codeword search on that prior runs once per index and serves both the
-    directional design and the seed of the PSA design.  For the wrap-around
-    Markov model the design problem is circularly shift-invariant, so every
-    design is derived from the index-0 base design by a per-element phase
-    ramp, whose sensing matrix is the base's with its columns rolled.
+    policy and designed index (the SNR is fixed at construction).  The
+    directional codeword search on that prior runs once per designed index
+    and serves both the directional design and the seed of the PSA design.
+
+    For the wrap-around Markov model the design problem is circularly
+    shift-invariant: a per-element phase ramp moves every beam's gain
+    pattern by k grid steps, so the index-0 design ramped by k serves index
+    k with the same bound.  Every index then has designed index 0.  Its
+    sensing matrix is the index-0 one with the columns rolled by k (rolling
+    is exact; rebuilding from the ramped beams would differ in the last
+    bits, <= 2.6e-13 at N=64), and its bound on a prior is the index-0
+    design's bound on that prior rolled back by k.  :meth:`serve` and
+    :meth:`log_bounds` are the only code that applies this symmetry.
     """
 
     def __init__(
@@ -330,6 +329,7 @@ class BeamScheduler:
         self.m_beams = int(m_beams)
         self.psa_config = psa_config or PsaConfig()
         self.design_count = 0
+        self._wrap = model.edge_mode == "wrap"
         self._designs: dict[tuple[str, int], DesignedBeams] = {}
         self._searches: dict[int, tuple[tuple[int, ...], float]] = {}
 
@@ -363,38 +363,61 @@ class BeamScheduler:
             score=result.score,
         )
 
-    def _shift(self, base: DesignedBeams, offset: int) -> DesignedBeams:
-        n = self.model.n_points
-        ramp = 2.0 * np.pi * offset / n * np.arange(self.codebook.n_tx)
-        beams = BeamMatrix(phases=base.beams.phases + ramp[:, None])
-        indices = None
-        if base.codeword_indices is not None:
-            indices = tuple(sorted((i + offset) % n for i in base.codeword_indices))
-        # The ramp moves every beam's gain pattern by ``offset`` grid steps, so
-        # the sensing matrix is the base's with its columns rolled.  Rolling
-        # makes that exact; rebuilding from the ramped beams would differ in
-        # the last bits (<= 2.6e-13 at N=64).
-        rolled = np.roll(base.sensing.matrix, offset, axis=-1)
-        return DesignedBeams(
-            beams=beams,
-            sensing=SensingMatrix(matrix=rolled),
-            score=base.score,
-            codeword_indices=indices,
-            base=base,
-            roll=offset,
-        )
-
     def beams_for_index(self, policy: str, index: int) -> DesignedBeams:
         """``policy``'s design for the prior propagated from a point
-        estimate at ``index``."""
+        estimate at ``index``; under wrap, the index-0 design, which
+        :meth:`serve` rolls to serve ``index``."""
         if policy not in ("psa_optimized", "directional_tep"):
             raise ValueError(f"unknown design policy {policy!r}")
-        cached = self._designs.get((policy, index))
-        if cached is not None:
-            return cached
-        if self.model.edge_mode == "wrap" and index != 0:
-            designed = self._shift(self.beams_for_index(policy, 0), index)
-        else:
-            designed = self._design(policy, index)
-        self._designs[policy, index] = designed
+        key = 0 if self._wrap else index
+        designed = self._designs.get((policy, key))
+        if designed is None:
+            designed = self._designs[policy, key] = self._design(policy, key)
         return designed
+
+    def serve(
+        self, policy: str, prev_est: np.ndarray, priors: np.ndarray
+    ) -> tuple[SensingMatrix, np.ndarray, np.ndarray]:
+        """Beams for a block of frames whose previous point estimates are
+        the (F,) ``prev_est`` and whose propagated priors are the (F, N)
+        ``priors``.
+
+        Returns each frame's (F, M, N) sensing matrices, its prior in the
+        coordinates of the design that serves it, and its designed index,
+        the key that :meth:`log_bounds` takes with that prior.
+        """
+        if not self._wrap:
+            keys, which = np.unique(prev_est, return_inverse=True)
+            designs = [self.beams_for_index(policy, int(k)) for k in keys]
+            sensing = np.stack([d.sensing.matrix for d in designs])[which]
+            return SensingMatrix(matrix=sensing), priors, prev_est
+        n = self.model.n_points
+        rolled = np.take_along_axis(priors, (np.arange(n) + prev_est[:, None]) % n, axis=1)
+        # Window s of the doubled index-0 sensing matrix is that matrix with
+        # the columns rolled by -s, so an estimate k takes window -k mod n.
+        base = self.beams_for_index(policy, 0).sensing.matrix
+        windows = sliding_window_view(np.concatenate([base, base], axis=-1), n, axis=-1)
+        sensing = np.swapaxes(windows, 0, 1)[-prev_est % n]
+        return SensingMatrix(matrix=sensing), rolled, np.zeros_like(prev_est)
+
+    def log_bounds(self, policy: str, priors: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Union bound of each stored prior against the design at its key.
+
+        ``priors`` (..., N) holds priors as :meth:`serve` returns them, and
+        ``keys`` (...) their designed indices.  One kernel call scores the
+        priors of each designed index; a block with one (every wrap block)
+        is scored in place.  Returns the bounds in the shape of ``keys``.
+        """
+        flat = priors.reshape(-1, priors.shape[-1])
+        keys = keys.ravel()
+        out = np.empty(len(keys))
+        for key in np.unique(keys):
+            rows = np.flatnonzero(keys == key)
+            sensing = self.beams_for_index(policy, int(key)).sensing
+            out[rows] = kernels.gamma_ub(
+                flat if len(rows) == len(flat) else flat[rows],
+                sensing.gram_abs2,
+                sensing.col_norms_sq,
+                self.snr,
+            )
+        return out.reshape(priors.shape[:-1])

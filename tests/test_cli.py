@@ -172,6 +172,21 @@ class TestConfigLoading:
         ("psa.stall_tol", {"psa": {"stall_tol": -1e-9}}),
     ]
 
+    # Largest value of each field that a trial column stores: tti (i2) holds
+    # p_ttis, the indices (i2) n_grid - 1 and frame (i4) n_frames - 1.
+    COLUMN_LIMITS = [("p_ttis", 32767), ("n_grid", 32768), ("n_frames", 2**31)]
+
+    @pytest.mark.parametrize("field,limit", COLUMN_LIMITS)
+    def test_column_limits(self, tmp_path, capsys, monkeypatch, field, limit):
+        # the limit loads and one past it exits 2 naming the field; neither runs
+        assert getattr(load_config(_write_config(tmp_path, {field: limit})), field) == limit
+        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        cfg = _write_config(tmp_path, {field: limit + 1})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{field} must be <= {limit}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field,overrides",
         BAD_VALUES,
@@ -488,6 +503,29 @@ class TestSweepCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "param,values",
+        [
+            ("beta", [0.1, 0.1000001]),
+            ("beta", [0.0, -0.0]),
+            ("beta", [0.5, 0.3, 0.5]),
+            ("snr_db", [10, 10.0]),
+            ("snr_db", [-5.0, -5.0000001]),
+        ],
+        ids=["beta-label", "beta-signed-zero", "beta-repeat", "snr-int-float", "snr-label"],
+    )
+    def test_exit_2_on_colliding_points(self, tmp_path, capsys, monkeypatch, param, values):
+        # two points that are equal as numbers or print the same :g label
+        # would share a results key, a trials file or summary labels
+        cfg = _write_config(tmp_path, {param: values})
+        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        flag = {"beta": "beta", "snr_db": "snr"}[param]
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", cfg, "--param", flag, "--out", str(out)])
+        assert code == 2
+        assert f"{param} list values must differ" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptimizeCommand:

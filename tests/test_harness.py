@@ -2,7 +2,6 @@
 
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from beamtrack.tracking import (
     BeamMatrix,
     Belief,
     PilotObservation,
+    SensingMatrix,
     map_estimate,
     posterior,
     propagate_prior,
@@ -270,12 +270,13 @@ def _reference_frames(config, rebuild=False):
     """Frame-by-frame, policy-by-policy tracking loop from the single-Belief
     functions, each policy drawing its own (seed, frame, tti) noise stream.
 
-    Under wrap dynamics a design for estimate i is the index-0 design rolled
-    by i, so its bound is that of the prior rolled back by i against the
-    index-0 design; other designs use their own Gram data.  ``rebuild=True``
-    gives the path before shifted designs were column rolls: every sensing
-    matrix is rebuilt from the design's beams, and the bound uses that
-    matrix's own Gram data.
+    Under wrap dynamics estimate i is served by the index-0 design with its
+    sensing columns rolled by i, and its bound is that of the prior rolled
+    back by i against the index-0 design; under truncate each estimate has
+    its own design and Gram data.  ``rebuild=True`` gives the path before
+    served designs were column rolls: the index-0 beams get the phase ramp
+    that shifts their gain patterns by i, the sensing matrix is rebuilt from
+    them, and the bound uses that matrix's own Gram data.
     """
     snr = 10.0 ** (config.snr_db / 10.0)
     codebook = build_codebook(build_grid(config.n_grid), config.n_tx)
@@ -305,26 +306,22 @@ def _reference_frames(config, rebuild=False):
                     continue
                 prior = propagate_prior(belief, model)
                 designed = scheduler.beams_for_index(pol, prev_est)
-                sensing = designed.sensing
+                shift = prev_est if config.edge_mode == "wrap" else 0
                 if rebuild:
-                    sensing = sensing_matrix(designed.beams, codebook)
+                    ramp = 2.0 * np.pi * shift / config.n_grid * np.arange(config.n_tx)
+                    ramped = BeamMatrix(phases=designed.beams.phases + ramp[:, None])
+                    sensing = logged = sensing_matrix(ramped, codebook)
+                    probs = prior.probs
+                else:
+                    rolled = np.roll(designed.sensing.matrix, shift, axis=-1)
+                    sensing = SensingMatrix(matrix=rolled)
+                    logged, probs = designed.sensing, np.roll(prior.probs, -shift)
                 y = gain * sensing.matrix[:, true_idx]
                 if not config.noiseless:
                     y = y + noise(frame, tti, config.m_beams)
                 belief = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
                 est = map_estimate(belief)
-                if config.edge_mode == "wrap" and not rebuild:
-                    base = scheduler.beams_for_index(pol, 0).sensing
-                    gub = ref.gamma_ub(
-                        np.roll(prior.probs, -prev_est),
-                        base.gram_abs2,
-                        base.col_norms_sq,
-                        snr,
-                    )
-                else:
-                    gub = ref.gamma_ub(
-                        prior.probs, sensing.gram_abs2, sensing.col_norms_sq, snr
-                    )
+                gub = ref.gamma_ub(probs, logged.gram_abs2, logged.col_norms_sq, snr)
                 out[pol].append((frame, tti, true_idx, est, est != true_idx, gub))
                 prev_est = est
     return {pol: np.array(rows, dtype=TRIAL_DTYPE) for pol, rows in out.items()}
@@ -423,27 +420,49 @@ class TestBlockedLoop:
             assert _trials_equal(tail[pol], whole[pol][whole[pol]["frame"] >= 13])
 
     def test_log_bounds_peak_memory(self):
-        # priors are stored in their base design's coordinates, so a wrap
-        # block goes to the kernel in place: logging traces well under one
-        # copy of its priors (rolling them at log time traced 16 MB here)
+        # the scheduler returns wrap priors in the index-0 design's
+        # coordinates, so a wrap block goes to the kernel in place: logging
+        # traces well under one copy of its priors (rolling them at log time
+        # traced 16 MB here)
         n_steps, n_frames, n = 9, 1024, 64
         rng = np.random.default_rng(1)
         model = build_markov(n, 0.2, 5)
         priors = model.transition[rng.integers(n, size=(n_steps, n_frames))]
         codebook = build_codebook(build_grid(n), 32)
-        sensing = sensing_matrix(BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (32, 2))), codebook)
+        scheduler = BeamScheduler(model, codebook, 10.0, 2)
+        sensing = scheduler.beams_for_index("directional_tep", 0).sensing
         want = kernels.gamma_ub(
             priors.reshape(-1, n), sensing.gram_abs2, sensing.col_norms_sq, 10.0
         )
-        slots = np.zeros((n_steps, n_frames), dtype=int)
+        keys = np.zeros((n_steps, n_frames), dtype=int)
         tracemalloc.start()
         try:
-            got = harness._log_bounds(priors, slots, [SimpleNamespace(sensing=sensing)], 10.0)
+            got = scheduler.log_bounds("directional_tep", priors, keys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(got, want.reshape(n_steps, n_frames).T)
+        assert np.array_equal(got, want.reshape(n_steps, n_frames))
         assert peak < priors.nbytes / 2
+
+    def test_block_peak_memory(self):
+        # with designs warmed, one full three-policy Fig. 2 block traces a
+        # fixed peak whatever n_frames is (measured 4.9 MB)
+        cfg = ExperimentConfig(policy=list(POLICIES))
+        codebook = build_codebook(build_grid(cfg.n_grid), cfg.n_tx)
+        model = build_markov(cfg.n_grid, cfg.beta, cfg.sigma)
+        scheduler = BeamScheduler(model, codebook, 10.0, cfg.m_beams, cfg.psa)
+        designed = ["psa_optimized", "directional_tep"]
+        cycling = beam_cycling_probes(cfg.n_tx, codebook)
+        args = (model, 10.0, scheduler, designed, cycling)
+        harness._run_block(cfg, range(2), *args)  # designs, imports
+        tracemalloc.start()
+        try:
+            harness._run_block(cfg, range(harness.BLOCK_FRAMES), *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scheduler.design_count == 2
+        assert peak < 6e6
 
 
 class TestSweep:

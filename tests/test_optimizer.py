@@ -28,6 +28,13 @@ def _concentrated_prior(n, center, eps=0.05):
     return Belief(probs)
 
 
+def _ramped(beams, k, n):
+    """The beams with the per-element phase ramp that moves every gain
+    pattern by k steps of an n-point grid."""
+    ramp = 2.0 * np.pi * k / n * np.arange(beams.n_tx)
+    return BeamMatrix(phases=beams.phases + ramp[:, None])
+
+
 def _optimize(prior, cb, snr, m_beams, config):
     """optimize_beams seeded with the directional search, as BeamScheduler
     seeds it."""
@@ -222,56 +229,74 @@ class TestScheduler:
         return BeamScheduler(model, cb, 10.0, 2, SMALL)
 
     def test_wrap_index_designs_once(self):
-        # under wrap each policy designs only at index 0
+        # under wrap every index has designed index 0: designing for all N
+        # indices designs once per policy, and each frame is served the
+        # index-0 sensing rolled by its estimate, bit for bit
         sched = self._scheduler()
+        prev_est = np.arange(8)
+        priors = sched.model.transition[prev_est]
         for policy in ("psa_optimized", "directional_tep"):
-            designs = [sched.beams_for_index(policy, k) for k in range(8)]
-            assert len({d.score for d in designs}) == 1
+            designs = [sched.beams_for_index(policy, k) for k in prev_est]
+            assert all(d is designs[0] for d in designs)
+            sensing, rolled, keys = sched.serve(policy, prev_est, priors)
+            base = designs[0].sensing.matrix
+            for k in prev_est:
+                assert np.array_equal(sensing.matrix[k], np.roll(base, k, axis=-1))
+                assert np.array_equal(rolled[k], np.roll(priors[k], -k))
+            assert np.array_equal(keys, np.zeros(8, dtype=int))
         assert sched.design_count == 2
 
     def test_shift_preserves_score(self):
         # a circular shift of the propagated prior maps the designed beams to
         # a per-element phase ramp with identical bound value
         sched = self._scheduler()
+        base = sched.beams_for_index("psa_optimized", 0)
         for k in (1, 3, 7):
-            designed = sched.beams_for_index("psa_optimized", k)
+            ramped = _ramped(base.beams, k, 8)
             prior_k = Belief(sched.model.transition[k])
-            score_k = beam_objective(designed.beams, sched.codebook, prior_k, 10.0)
-            assert score_k == pytest.approx(designed.score, rel=1e-10)
+            score_k = beam_objective(ramped, sched.codebook, prior_k, 10.0)
+            assert score_k == pytest.approx(base.score, rel=1e-10)
 
     @pytest.mark.parametrize("policy", ["psa_optimized", "directional_tep"])
     @pytest.mark.parametrize("n,n_tx", [(8, 4), (64, 32)])
     def test_shift_is_column_roll(self, policy, n, n_tx):
-        # a shifted design's sensing matrix is its base's with the columns
-        # rolled, bit for bit, and within 1e-12 of the one rebuilt from the
-        # phase-ramped beams
+        # the sensing served for estimate k is the index-0 design's with the
+        # columns rolled by k, bit for bit, and within 1e-12 of the one
+        # rebuilt from the phase-ramped beams
         model = build_markov(n, 0.5, 2)
         cb = build_codebook(build_grid(n), n_tx)
         sched = BeamScheduler(model, cb, 10.0, 2, SMALL)
         base = sched.beams_for_index(policy, 0)
-        assert base.base is base and base.roll == 0
-        for k in sorted({1, 3, n // 2, n - 1}):
-            shifted = sched.beams_for_index(policy, k)
-            assert shifted.base is base and shifted.roll == k
-            rolled = np.roll(base.sensing.matrix, k, axis=-1)
-            assert np.array_equal(shifted.sensing.matrix, rolled)
-            rebuilt = sensing_matrix(shifted.beams, cb).matrix
-            np.testing.assert_allclose(shifted.sensing.matrix, rebuilt, rtol=0, atol=1e-12)
+        prev_est = np.array(sorted({1, 3, n // 2, n - 1}))
+        sensing, _, _ = sched.serve(policy, prev_est, model.transition[prev_est])
+        for served, k in zip(sensing.matrix, prev_est):
+            assert np.array_equal(served, np.roll(base.sensing.matrix, k, axis=-1))
+            rebuilt = sensing_matrix(_ramped(base.beams, k, n), cb).matrix
+            np.testing.assert_allclose(served, rebuilt, rtol=0, atol=1e-12)
 
     def test_unshifted_designs_are_own_base(self):
-        truncate = self._scheduler(edge_mode="truncate")
-        for designed in (
-            truncate.beams_for_index("directional_tep", 3),
-            self._scheduler().beams_for_index("psa_optimized", 0),
-        ):
-            assert designed.base is designed and designed.roll == 0
+        # designs under truncate, and the index-0 design under wrap, serve
+        # their own index in their own coordinates: unrolled sensing, the
+        # prior as given, and the index itself as key
+        for edge_mode, k in (("truncate", 3), ("wrap", 0)):
+            sched = self._scheduler(edge_mode=edge_mode)
+            for policy in ("psa_optimized", "directional_tep"):
+                designed = sched.beams_for_index(policy, k)
+                prior = sched.model.transition[[k]]
+                sensing, served, keys = sched.serve(policy, np.array([k]), prior)
+                assert np.array_equal(sensing.matrix[0], designed.sensing.matrix)
+                assert np.array_equal(served, prior) and keys.tolist() == [k]
 
     def test_directional_shift_indices(self):
+        # the index-0 directional design ramped by k steers at its codewords
+        # shifted by k
         sched = self._scheduler()
         base = sched.beams_for_index("directional_tep", 0)
-        shifted = sched.beams_for_index("directional_tep", 3)
-        expected = tuple(sorted((i + 3) % 8 for i in base.codeword_indices))
-        assert shifted.codeword_indices == expected
+        for k in (1, 3, 7):
+            shifted = [(i + k) % 8 for i in base.codeword_indices]
+            want = BeamMatrix(phases=steering_phases(sched.codebook, shifted))
+            ramped = _ramped(base.beams, k, 8)
+            np.testing.assert_allclose(ramped.matrix, want.matrix, rtol=0, atol=1e-12)
 
     def test_truncate_mode_designs_per_index(self):
         # one design per policy and index, each cached
