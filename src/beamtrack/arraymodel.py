@@ -111,11 +111,20 @@ class MarkovModel:
     beta**distance; outside the window it is zero.  ``edge_mode`` controls
     whether index distance wraps around the grid ("wrap") or the window is
     clipped at the edges with per-row renormalization ("truncate").
+
+    ``canonical`` and ``shift`` give each row's shift class: row k is row
+    ``canonical[k]`` rolled by ``shift[k]`` index steps, up to rounding in
+    the last bit of the normalization.  Under wrap every row is row 0
+    rolled by k; under truncate a window inside the grid (sigma <= k <
+    N - sigma) is row sigma rolled by k - sigma, and an edge row is its own
+    class.  The map comes from the construction, not from comparing rows.
     """
 
     beta: float
     sigma: int
     transition: np.ndarray
+    canonical: np.ndarray
+    shift: np.ndarray
     edge_mode: str = "wrap"
 
     @property
@@ -145,11 +154,14 @@ def build_markov(
         raise ValueError(f"unknown edge_mode {edge_mode!r}")
 
     idx = np.arange(n_points)
+    dist = np.abs(idx[None, :] - idx[:, None])
     if edge_mode == "wrap":
-        dist = np.abs(idx[None, :] - idx[:, None])
         dist = np.minimum(dist, n_points - dist)
+        canonical, shift = np.zeros_like(idx), idx
     else:
-        dist = np.abs(idx[None, :] - idx[:, None])
+        inside = (sigma <= idx) & (idx < n_points - sigma)
+        canonical = np.where(inside, sigma, idx)
+        shift = np.where(inside, idx - sigma, 0)
 
     # 0**0 == 1: beta = 0 yields the identity chain.
     if beta == 0.0:
@@ -157,4 +169,4 @@ def build_markov(
     else:
         weights = np.where(dist <= sigma, float(beta) ** dist, 0.0)
     transition = weights / weights.sum(axis=1, keepdims=True)
-    return MarkovModel(beta=beta, sigma=sigma, transition=transition, edge_mode=edge_mode)
+    return MarkovModel(beta, sigma, transition, canonical, shift, edge_mode)

@@ -297,20 +297,18 @@ class BeamScheduler:
     """Per-period beam design for both designed policies, with caching.
 
     Each period's beams are designed for the prior propagated from the
-    previous point estimate, ``model.transition[index]``, and cached by
-    policy and designed index (the SNR is fixed at construction).  The
-    directional codeword search on that prior runs once per designed index
-    and serves both the directional design and the seed of the PSA design.
-
-    For the wrap-around Markov model the design problem is circularly
-    shift-invariant: a per-element phase ramp moves every beam's gain
-    pattern by k grid steps, so the index-0 design ramped by k serves index
-    k with the same bound.  Every index then has designed index 0.  Its
-    sensing matrix is the index-0 one with the columns rolled by k (rolling
-    is exact; rebuilding from the ramped beams would differ in the last
-    bits, <= 2.6e-13 at N=64), and its bound on a prior is the index-0
-    design's bound on that prior rolled back by k.  :meth:`serve` and
-    :meth:`log_bounds` are the only code that applies this symmetry.
+    previous point estimate, ``model.transition[index]``.  A per-element
+    phase ramp moves every beam's gain pattern by k grid steps, so the
+    design for row ``model.canonical[index]`` ramped by ``model.shift[index]``
+    serves ``index`` with the same bound: its sensing matrix is the
+    canonical one with the columns rolled by the shift (exact; rebuilding
+    from the ramped beams would differ in the last bits, <= 2.6e-13 at
+    N=64), and its bound on a prior is the canonical design's bound on that
+    prior rolled back by the shift.  So designs are cached by policy and
+    canonical index (the SNR is fixed at construction): one per policy under
+    wrap, at most 2 * sigma + 1 under truncate.  The directional search on a
+    canonical prior runs once and serves both the directional design and the
+    PSA seed.  :meth:`serve` and :meth:`log_bounds` alone apply the symmetry.
     """
 
     def __init__(
@@ -329,7 +327,6 @@ class BeamScheduler:
         self.m_beams = int(m_beams)
         self.psa_config = psa_config or PsaConfig()
         self.design_count = 0
-        self._wrap = model.edge_mode == "wrap"
         self._designs: dict[tuple[str, int], DesignedBeams] = {}
         self._searches: dict[int, tuple[tuple[int, ...], float]] = {}
 
@@ -364,12 +361,11 @@ class BeamScheduler:
         )
 
     def beams_for_index(self, policy: str, index: int) -> DesignedBeams:
-        """``policy``'s design for the prior propagated from a point
-        estimate at ``index``; under wrap, the index-0 design, which
-        :meth:`serve` rolls to serve ``index``."""
+        """``policy``'s design for the canonical row of ``index``, which
+        :meth:`serve` rolls by the row's shift to serve ``index``."""
         if policy not in ("psa_optimized", "directional_tep"):
             raise ValueError(f"unknown design policy {policy!r}")
-        key = 0 if self._wrap else index
+        key = int(self.model.canonical[index])
         designed = self._designs.get((policy, key))
         if designed is None:
             designed = self._designs[policy, key] = self._design(policy, key)
@@ -382,23 +378,19 @@ class BeamScheduler:
         the (F,) ``prev_est`` and whose propagated priors are the (F, N)
         ``priors``.
 
-        Returns each frame's (F, M, N) sensing matrices, its prior in the
-        coordinates of the design that serves it, and its designed index,
-        the key that :meth:`log_bounds` takes with that prior.
+        Returns each frame's (F, M, N) sensing matrices, its prior rolled
+        back by its shift into its design's coordinates, and its canonical
+        index, the key that :meth:`log_bounds` takes with that prior.
         """
-        if not self._wrap:
-            keys, which = np.unique(prev_est, return_inverse=True)
-            designs = [self.beams_for_index(policy, int(k)) for k in keys]
-            sensing = np.stack([d.sensing.matrix for d in designs])[which]
-            return SensingMatrix(matrix=sensing), priors, prev_est
         n = self.model.n_points
-        rolled = np.take_along_axis(priors, (np.arange(n) + prev_est[:, None]) % n, axis=1)
-        # Window s of the doubled index-0 sensing matrix is that matrix with
-        # the columns rolled by -s, so an estimate k takes window -k mod n.
-        base = self.beams_for_index(policy, 0).sensing.matrix
-        windows = sliding_window_view(np.concatenate([base, base], axis=-1), n, axis=-1)
-        sensing = np.swapaxes(windows, 0, 1)[-prev_est % n]
-        return SensingMatrix(matrix=sensing), rolled, np.zeros_like(prev_est)
+        keys, shifts = self.model.canonical[prev_est], self.model.shift[prev_est]
+        rolled = np.take_along_axis(priors, (np.arange(n) + shifts[:, None]) % n, axis=1)
+        # Window s of a doubled sensing matrix is that matrix with the
+        # columns rolled by -s, so a shift k takes window -k mod n.
+        designs, which = np.unique(keys, return_inverse=True)
+        doubled = [np.tile(self.beams_for_index(policy, k).sensing.matrix, 2) for k in designs]
+        windows = np.swapaxes(sliding_window_view(np.stack(doubled), n, axis=-1), 1, 2)
+        return SensingMatrix(matrix=windows[which, -shifts % n]), rolled, keys
 
     def log_bounds(self, policy: str, priors: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Union bound of each stored prior against the design at its key.

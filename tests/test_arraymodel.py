@@ -160,6 +160,29 @@ class TestMarkov:
         with pytest.raises(ValueError):
             build_markov(10, 0.5, 5)
 
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    def test_shift_class_map(self, edge_mode):
+        # wrap: k -> (0, k); truncate: a window inside the grid is row sigma
+        # rolled by k - sigma, an edge row its own class
+        model = build_markov(16, 0.5, 2, edge_mode=edge_mode)
+        if edge_mode == "wrap":
+            want = [(0, k) for k in range(16)]
+        else:
+            want = [(k, 0) for k in (0, 1)] + [(2, k - 2) for k in range(2, 14)]
+            want += [(k, 0) for k in (14, 15)]
+        assert list(zip(model.canonical.tolist(), model.shift.tolist())) == want
+
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.2, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n,atol", [(64, 0.0), (256, 2.3e-16)])
+    def test_rows_are_rolled_canonical_rows(self, edge_mode, beta, n, atol):
+        # bit for bit at N=64; at N=256 a few rows' normalization sums round
+        # differently (measured at most 1.1e-16)
+        model = build_markov(n, beta, 5, edge_mode=edge_mode)
+        for k in range(n):
+            rolled = np.roll(model.transition[model.canonical[k]], model.shift[k])
+            np.testing.assert_allclose(model.transition[k], rolled, rtol=0, atol=atol)
+
 
 class TestEvolve:
     """The harness's channel draws: the index walk follows the Markov chain

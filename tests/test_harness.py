@@ -270,13 +270,13 @@ def _reference_frames(config, rebuild=False):
     """Frame-by-frame, policy-by-policy tracking loop from the single-Belief
     functions, each policy drawing its own (seed, frame, tti) noise stream.
 
-    Under wrap dynamics estimate i is served by the index-0 design with its
-    sensing columns rolled by i, and its bound is that of the prior rolled
-    back by i against the index-0 design; under truncate each estimate has
-    its own design and Gram data.  ``rebuild=True`` gives the path before
-    served designs were column rolls: the index-0 beams get the phase ramp
-    that shifts their gain patterns by i, the sensing matrix is rebuilt from
-    them, and the bound uses that matrix's own Gram data.
+    Estimate i is served by the design of its canonical row with the
+    sensing columns rolled by its shift, and its bound is that of the prior
+    rolled back by the shift against the canonical design.
+    ``rebuild=True`` gives the path before served designs were column rolls:
+    the canonical beams get the phase ramp that shifts their gain patterns
+    by the shift, the sensing matrix is rebuilt from them, and the bound
+    uses that matrix's own Gram data.
     """
     snr = 10.0 ** (config.snr_db / 10.0)
     codebook = build_codebook(build_grid(config.n_grid), config.n_tx)
@@ -306,7 +306,7 @@ def _reference_frames(config, rebuild=False):
                     continue
                 prior = propagate_prior(belief, model)
                 designed = scheduler.beams_for_index(pol, prev_est)
-                shift = prev_est if config.edge_mode == "wrap" else 0
+                shift = model.shift[prev_est]
                 if rebuild:
                     ramp = 2.0 * np.pi * shift / config.n_grid * np.arange(config.n_tx)
                     ramped = BeamMatrix(phases=designed.beams.phases + ramp[:, None])
@@ -354,11 +354,10 @@ class TestBlockedLoop:
 
     @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
     def test_one_kernel_call_per_block_design(self, monkeypatch, edge_mode):
-        # bounds are logged at block end, one kernel call per base design a
-        # block used.  Under wrap every design is the index-0 design rolled,
-        # so that is one call per block and designed policy; under truncate,
-        # one per distinct point estimate the block's periods were designed
-        # from
+        # bounds are logged at block end, one kernel call per canonical
+        # design a block used: per block and designed policy, one per
+        # distinct canonical index of the point estimates its periods were
+        # designed from (under wrap that is always one)
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
         calls = []
         gamma_ub = kernels.gamma_ub
@@ -378,9 +377,9 @@ class TestBlockedLoop:
             est = trials[pol]["est_index"].reshape(cfg.n_frames, n_steps)
             designed_from = np.column_stack([init, est[:, :-1]])
             for lo in range(0, cfg.n_frames, 16):
-                expected += len(np.unique(designed_from[lo : lo + 16]))
+                expected += len(np.unique(model.canonical[designed_from[lo : lo + 16]]))
         if edge_mode == "wrap":
-            expected = 2 * len(range(0, cfg.n_frames, 16))
+            assert expected == 2 * len(range(0, cfg.n_frames, 16))
         assert len(calls) == expected
         assert sum(calls) == 2 * cfg.n_frames * n_steps
 

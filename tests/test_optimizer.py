@@ -275,10 +275,11 @@ class TestScheduler:
             np.testing.assert_allclose(served, rebuilt, rtol=0, atol=1e-12)
 
     def test_unshifted_designs_are_own_base(self):
-        # designs under truncate, and the index-0 design under wrap, serve
-        # their own index in their own coordinates: unrolled sensing, the
-        # prior as given, and the index itself as key
-        for edge_mode, k in (("truncate", 3), ("wrap", 0)):
+        # truncate edge rows, truncate row sigma and wrap row 0 are their own
+        # canonical rows: they serve their own index in their own
+        # coordinates, with unrolled sensing, the prior as given, and the
+        # index itself as key
+        for edge_mode, k in (("truncate", 1), ("truncate", 2), ("truncate", 7), ("wrap", 0)):
             sched = self._scheduler(edge_mode=edge_mode)
             for policy in ("psa_optimized", "directional_tep"):
                 designed = sched.beams_for_index(policy, k)
@@ -286,6 +287,22 @@ class TestScheduler:
                 sensing, served, keys = sched.serve(policy, np.array([k]), prior)
                 assert np.array_equal(sensing.matrix[0], designed.sensing.matrix)
                 assert np.array_equal(served, prior) and keys.tolist() == [k]
+
+    def test_truncate_interior_is_sigma_rolled(self):
+        # under truncate an estimate k inside the grid is served the
+        # index-sigma sensing rolled by k - sigma, bit for bit, with key
+        # sigma, and its prior rolled back by k - sigma
+        sched = self._scheduler(edge_mode="truncate")
+        prev_est = np.array([3, 5, 2, 4])
+        priors = sched.model.transition[prev_est]
+        for policy in ("psa_optimized", "directional_tep"):
+            base = sched.beams_for_index(policy, 2).sensing.matrix
+            sensing, rolled, keys = sched.serve(policy, prev_est, priors)
+            for f, k in enumerate(prev_est):
+                assert np.array_equal(sensing.matrix[f], np.roll(base, k - 2, axis=-1))
+                assert np.array_equal(rolled[f], np.roll(priors[f], 2 - k))
+            assert keys.tolist() == [2, 2, 2, 2]
+            assert sched.beams_for_index(policy, 5) is sched.beams_for_index(policy, 2)
 
     def test_directional_shift_indices(self):
         # the index-0 directional design ramped by k steers at its codewords
@@ -298,17 +315,30 @@ class TestScheduler:
             ramped = _ramped(base.beams, k, 8)
             np.testing.assert_allclose(ramped.matrix, want.matrix, rtol=0, atol=1e-12)
 
-    def test_truncate_mode_designs_per_index(self):
-        # one design per policy and index, each cached
+    def test_truncate_mode_designs_per_class(self):
+        # one design per policy and shift class, each cached: at N=8 and
+        # sigma=2 the classes are the edge rows 0, 1, 6, 7 and row 2
         sched = self._scheduler(edge_mode="truncate")
         for policy in ("directional_tep", "psa_optimized"):
-            for k in (0, 4):
-                assert sched.beams_for_index(policy, k) is sched.beams_for_index(policy, k)
-        assert sched.design_count == 4
+            for k in range(8):
+                canonical = int(sched.model.canonical[k])
+                assert sched.beams_for_index(policy, k) is sched.beams_for_index(policy, canonical)
+        assert sched.design_count == 10
+
+    def test_truncate_designs_bounded(self):
+        # serving every index of an N=256, sigma=5 truncate model designs at
+        # most 2 * sigma + 1 = 11 times per policy
+        model = build_markov(256, 0.2, 5, edge_mode="truncate")
+        cb = build_codebook(build_grid(256), 8)
+        sched = BeamScheduler(model, cb, 10.0, 1, PsaConfig(swarm_size=4, max_iters=2))
+        prev_est = np.arange(256)
+        for policy in ("psa_optimized", "directional_tep"):
+            sched.serve(policy, prev_est, model.transition)
+        assert sched.design_count == 2 * 11
 
     def test_shared_search_runs_once(self, monkeypatch):
         # one scheduler serving both policies runs the directional search
-        # once per designed index, across both policies, and the PSA design
+        # once per canonical index, across both policies, and the PSA design
         # seeds the swarm with its result
         calls = []
         search = optimizer.select_directional_pair
@@ -319,7 +349,7 @@ class TestScheduler:
 
         cb = build_codebook(build_grid(16), 8)
         indices = (0, 5, 15, 5, 0)
-        for edge_mode, designed in (("wrap", {0}), ("truncate", set(indices))):
+        for edge_mode, designed in (("wrap", {0}), ("truncate", {0, 2, 15})):
             model = build_markov(16, 0.3, 2, edge_mode=edge_mode)
             sched = BeamScheduler(model, cb, 10.0, 2, SMALL)
             calls.clear()
