@@ -123,6 +123,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown policy {pol!r}: policy must be one of {POLICIES}")
         if len(set(self.policies)) < len(self.policies):
             raise ValueError(f"policy must not repeat an entry, got {list(self.policies)}")
+        if "beam_cycling" in self.policies and self.n_tx < 2:
+            raise ValueError(f"n_tx must be >= 2 with policy beam_cycling, got {self.n_tx}")
         if self.edge_mode not in ("wrap", "truncate"):
             raise ValueError(f"unknown edge_mode {self.edge_mode!r}")
         if not isinstance(self.noiseless, bool):

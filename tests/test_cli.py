@@ -187,6 +187,18 @@ class TestConfigLoading:
         assert f"{field} must be <= {limit}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_beam_cycling_needs_two_antennas(self, tmp_path, capsys, monkeypatch):
+        # the probe sweep builds an n_tx-point grid, which needs n_tx >= 2;
+        # without beam_cycling one antenna loads
+        single = {"n_tx": 1, "policy": "directional_tep"}
+        assert load_config(_write_config(tmp_path, single)).n_tx == 1
+        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        cfg = _write_config(tmp_path, {"n_tx": 1})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "n_tx must be >= 2 with policy beam_cycling, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field,overrides",
         BAD_VALUES,
