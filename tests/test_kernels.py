@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from beamtrack import kernels
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.kernels import ref
-from beamtrack.tracking import BeamMatrix, sensing_matrix
+from beamtrack.tracking import BeamMatrix, SensingMatrix, sensing_matrix
 
 
 def _mu_four_cases(l1, l2, d):
@@ -506,3 +506,67 @@ class TestShiftEquivariance:
             own = sensing_matrix(shifted, codebook)
             want = ref.gamma_ub(row, own.gram_abs2, own.col_norms_sq, snr)
             assert got[f] == pytest.approx(want, rel=1e-10 * max(1.0, snr), abs=0.0)
+
+
+class TestMpmathOracle:
+    """``kernels.gamma_ub`` against a 60-digit oracle that builds each pair's
+    covariances, their inverses and the whitened eigenvalues directly, at
+    M=3, N=5.  Random beams are iid complex Gaussian columns; nearly aligned
+    ones share a column plus a 0.1-scale perturbation (column correlation
+    about 0.99).  The bounds are 10x the largest relative error measured at
+    the time this test was written, per SNR and kind; the kernel's Gram data
+    come from numpy, as a run's do."""
+
+    MEASURED = {  # max relative error of 3 cases, (random, nearly aligned)
+        10.0: (4.6e-15, 3.6e-14),
+        1e3: (3.9e-13, 1.2e-9),
+        1e6: (1.8e-9, 2.7e-7),
+    }
+
+    @staticmethod
+    def _oracle(mp, s, prior, snr):
+        m, n = s.shape
+        cols = [mp.matrix([[mp.mpc(complex(x))] for x in s[:, k]]) for k in range(n)]
+        sig = [c * c.H + mp.eye(m) / mp.mpf(snr) for c in cols]
+        inv = [mp.inverse(x) for x in sig]
+        half = [mp.cholesky(x) for x in sig]
+        logdet = [mp.log(mp.re(mp.det(x))) for x in sig]
+        p = [mp.mpf(x) for x in prior]
+        total = mp.mpf(0)
+        for k in range(n):
+            for j in range(n):
+                if j == k:
+                    continue
+                # y ~ CN(0, sig_k) = half_k w: the test statistic
+                # y^H (inv_j - inv_k) y is sum_i lam_i |w_i|^2, with lam the
+                # eigenvalues of half_k^H (inv_j - inv_k) half_k (rank two)
+                white = half[k].H * (inv[j] - inv[k]) * half[k]
+                lam = sorted(mp.re(x) for x in mp.eighe((white + white.H) / 2, eigvals_only=True))
+                lam1, lam2 = lam[-1], lam[0]
+                delta = mp.log(p[j] / p[k]) + logdet[k] - logdet[j]
+                if delta <= 0:
+                    mu = lam2 / (lam2 - lam1) * mp.exp(-delta / lam2)
+                else:
+                    mu = 1 + lam1 / (lam2 - lam1) * mp.exp(-delta / lam1)
+                total += p[k] * mu
+        return total
+
+    @pytest.mark.parametrize("snr", sorted(MEASURED))
+    def test_relative_error(self, snr):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(np.log10(snr)))
+        errors = {"random": [], "aligned": []}
+        for kind in ("random", "random", "random", "aligned", "aligned", "aligned"):
+            s = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+            if kind == "aligned":
+                s = s[:, :1] + 0.1 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+            prior = rng.random(5)
+            prior /= prior.sum()
+            sensing = SensingMatrix(matrix=s)
+            got = kernels.gamma_ub(prior, sensing.gram_abs2, sensing.col_norms_sq, snr)
+            with mpmath.workdps(60):
+                want = self._oracle(mpmath.mp, s, prior, snr)
+            errors[kind].append(float(abs(got - want) / want))
+        for kind, bound in zip(("random", "aligned"), self.MEASURED[snr]):
+            print(f"ORACLE snr={snr:g} {kind} max relative error {max(errors[kind]):.3g}")
+            assert max(errors[kind]) <= 10 * bound, kind
