@@ -108,9 +108,10 @@ class MarkovModel:
     """Banded row-stochastic transition matrix over grid indices.
 
     Within a window of ``sigma`` index steps the hop probability decays as
-    beta**distance; outside the window it is zero.  ``edge_mode`` controls
-    whether index distance wraps around the grid ("wrap") or the window is
-    clipped at the edges with per-row renormalization ("truncate").
+    beta**distance; outside the window it is zero.  The edge mode of
+    :func:`build_markov` sets whether index distance wraps around the grid
+    ("wrap") or the window is clipped at the edges with per-row
+    renormalization ("truncate").
 
     ``canonical`` and ``shift`` give each row's shift class: row k is row
     ``canonical[k]`` rolled by ``shift[k]`` index steps, up to rounding in
@@ -125,7 +126,6 @@ class MarkovModel:
     transition: np.ndarray
     canonical: np.ndarray
     shift: np.ndarray
-    edge_mode: str = "wrap"
 
     @property
     def n_points(self) -> int:
@@ -169,4 +169,4 @@ def build_markov(
     else:
         weights = np.where(dist <= sigma, float(beta) ** dist, 0.0)
     transition = weights / weights.sum(axis=1, keepdims=True)
-    return MarkovModel(beta, sigma, transition, canonical, shift, edge_mode)
+    return MarkovModel(beta, sigma, transition, canonical, shift)
