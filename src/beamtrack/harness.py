@@ -264,16 +264,17 @@ def _noise(normals: np.ndarray, m: int, snr: float) -> np.ndarray:
     return (normals[:, :m] + 1j * normals[:, m : 2 * m]) * np.sqrt(0.5 / snr)
 
 
-def _run_block(
-    config: ExperimentConfig, frames: range, model, snr, scheduler, designed, cycling
-):
+def _run_block(config: ExperimentConfig, frames: range, scheduler, cycling):
     """Simulate a block of frames, all advancing one period at a time.
 
-    ``scheduler`` serves the beams of the ``designed`` policies.  The bound
+    ``scheduler`` serves the beams of the designed policies, with its model
+    and SNR; ``cycling`` is the probe sweep of ``beam_cycling``.  The bound
     never feeds back into tracking, so each designed policy keeps its period
     priors as the scheduler returns them, with their designed indices, and
     logs the bounds once the block's periods are done.
     """
+    model, snr = scheduler.model, scheduler.snr
+    designed = [pol for pol in config.policies if pol != "beam_cycling"]
     n_steps = config.p_ttis - 1
     init, true, gains = _trajectories(config, model, frames)
     rows = np.arange(len(frames))
@@ -328,37 +329,30 @@ def _run_block(
     return out
 
 
-def _run_frames(config: ExperimentConfig, frame_lo: int, frame_hi: int):
-    """Simulate frames [frame_lo, frame_hi) for every configured policy, in
-    blocks of up to BLOCK_FRAMES frames."""
-    snr = 10.0 ** (float(config.snr_db) / 10.0)
+# The current run's config, scheduler and probe sweep in this process.
+_prepared = {}
 
+
+def _prepare(config: ExperimentConfig):
+    """Build the scheduler and probe sweep once per process and run: in the
+    caller of a serial run, or as each pool worker's initializer."""
+    snr = 10.0 ** (float(config.snr_db) / 10.0)
     grid = build_grid(config.n_grid)
     codebook = build_codebook(grid, config.n_tx)
     model = build_markov(
         config.n_grid, float(config.beta), config.sigma, edge_mode=config.edge_mode
     )
-
     scheduler = BeamScheduler(model, codebook, snr, config.m_beams, psa_config=config.psa)
-    designed = [pol for pol in config.policies if pol != "beam_cycling"]
     cycling = (
         beam_cycling_probes(config.n_tx, codebook)
         if "beam_cycling" in config.policies
         else None
     )
+    _prepared.update(config=config, scheduler=scheduler, cycling=cycling)
 
-    n_steps = config.p_ttis - 1
-    trials = {
-        pol: np.empty((frame_hi - frame_lo) * n_steps, dtype=TRIAL_DTYPE)
-        for pol in config.policies
-    }
-    for lo in range(frame_lo, frame_hi, BLOCK_FRAMES):
-        frames = range(lo, min(lo + BLOCK_FRAMES, frame_hi))
-        block = _run_block(config, frames, model, snr, scheduler, designed, cycling)
-        rows = slice((lo - frame_lo) * n_steps, (frames.stop - frame_lo) * n_steps)
-        for pol in config.policies:
-            trials[pol][rows] = block[pol]
-    return trials
+
+def _prepared_block(frames: range) -> dict[str, np.ndarray]:
+    return _run_block(frames=frames, **_prepared)
 
 
 def _worker_count() -> int:
@@ -400,24 +394,28 @@ def run_experiment(
     if config.swept is not None:
         raise ValueError(f"{config.swept} must be scalar for a single experiment run")
     workers = _worker_count()
-    if workers == 1 or config.n_frames < 2 * workers:
-        trials = _run_frames(config, 0, config.n_frames)
+    # Every worker gets frames; one worker runs blocks of BLOCK_FRAMES.
+    size = min(BLOCK_FRAMES, -(-config.n_frames // workers))
+    frames = range(config.n_frames)
+    blocks = [frames[lo : lo + size] for lo in frames[::size]]
+    n_steps = config.p_ttis - 1
+    trials = {pol: np.empty(len(frames) * n_steps, TRIAL_DTYPE) for pol in config.policies}
+
+    def fill(parts):
+        for block, part in zip(blocks, parts):
+            for pol in config.policies:
+                trials[pol][block.start * n_steps : block.stop * n_steps] = part[pol]
+
+    if workers == 1 or len(blocks) == 1:
+        _prepare(config)
+        fill(map(_prepared_block, blocks))
+        _prepared.clear()  # no scheduler outlives its run in the caller
     else:
-        bounds = np.linspace(0, config.n_frames, workers + 1, dtype=int)
-        blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         # Imported here: multiprocessing costs every serial run's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        n_steps = config.p_ttis - 1
-        trials = {
-            pol: np.empty(config.n_frames * n_steps, dtype=TRIAL_DTYPE)
-            for pol in config.policies
-        }
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_run_frames, [config] * len(blocks), *zip(*blocks))
-            for (lo, hi), part in zip(blocks, parts):
-                for pol in config.policies:
-                    trials[pol][lo * n_steps : hi * n_steps] = part[pol]
+        with ProcessPoolExecutor(workers, initializer=_prepare, initargs=(config,)) as pool:
+            fill(pool.map(_prepared_block, blocks))
 
     summary = [
         _summary_row(f"tti={int(tti)}", pol, trials[pol][trials[pol]["tti"] == tti])

@@ -180,7 +180,7 @@ class TestConfigLoading:
     def test_column_limits(self, tmp_path, capsys, monkeypatch, field, limit):
         # the limit loads and one past it exits 2 naming the field; neither runs
         assert getattr(load_config(_write_config(tmp_path, {field: limit})), field) == limit
-        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        monkeypatch.setattr(harness, "_run_block", _never_called)
         cfg = _write_config(tmp_path, {field: limit + 1})
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -192,7 +192,7 @@ class TestConfigLoading:
         # without beam_cycling one antenna loads
         single = {"n_tx": 1, "policy": "directional_tep"}
         assert load_config(_write_config(tmp_path, single)).n_tx == 1
-        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        monkeypatch.setattr(harness, "_run_block", _never_called)
         cfg = _write_config(tmp_path, {"n_tx": 1})
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -278,7 +278,7 @@ class TestSimulate:
         value = str(cap + 1) if value == "CPUS+1" else value
         monkeypatch.setenv("BEAMTRACK_THREADS", value)
         monkeypatch.setattr(futures, "ProcessPoolExecutor", _never_called)
-        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        monkeypatch.setattr(harness, "_run_block", _never_called)
         cfg = _write_config(tmp_path, {"beta": [0.3]} if command == "sweep" else None)
         extra = ["--param", "beta"] if command == "sweep" else []
         code = main([command, "--config", cfg, *extra, "--out", str(tmp_path / "o")])
@@ -370,7 +370,7 @@ class TestSimulate:
         # rejected at config load, before any design or frame runs
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, field: "VALUE"}).replace('"VALUE"', raw))
-        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        monkeypatch.setattr(harness, "_run_block", _never_called)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -508,7 +508,7 @@ class TestSweepCommand:
         # a bad value anywhere in the list fails before the first point runs
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, param: "VALUE"}).replace('"VALUE"', raw))
-        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        monkeypatch.setattr(harness, "_run_block", _never_called)
         flag = {"beta": "beta", "snr_db": "snr"}[param]
         out = str(tmp_path / "o")
         code = main(["sweep", "--config", str(cfg), "--param", flag, "--out", out])
@@ -531,7 +531,7 @@ class TestSweepCommand:
         # two points that are equal as numbers or print the same :g label
         # would share a results key, a trials file or summary labels
         cfg = _write_config(tmp_path, {param: values})
-        monkeypatch.setattr(harness, "_run_frames", _never_called)
+        monkeypatch.setattr(harness, "_run_block", _never_called)
         flag = {"beta": "beta", "snr_db": "snr"}[param]
         out = tmp_path / "o"
         code = main(["sweep", "--config", cfg, "--param", flag, "--out", str(out)])

@@ -1,5 +1,6 @@
 """Monte-Carlo harness tests: reproducibility, shared randomness, baselines."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -242,14 +243,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="scalar"):
             run_experiment(cfg)
 
-    def test_trial_rows_held_once(self):
-        # each policy's rows fill one preallocated array block by block;
-        # keeping the blocks and concatenating them peaked at twice the trial
-        # bytes.  Noiseless, so no per-period noise streams: this runs in ~2 s
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_trial_rows_held_once(self, monkeypatch, threads):
+        # each policy's rows fill one preallocated array block by block, in
+        # serial runs and as a pool's blocks arrive; keeping the blocks and
+        # concatenating them peaked at twice the trial bytes, and receiving
+        # each worker's part whole at 2.5 times.  Noiseless, so no per-period
+        # noise streams: this runs in ~2 s
+        if int(threads) > (os.cpu_count() or 1):
+            pytest.skip("needs two CPUs")
+        monkeypatch.setenv("BEAMTRACK_THREADS", threads)
         cfg = _config(
             n_tx=2, p_ttis=10, n_frames=10_000, policy="beam_cycling", noiseless=True
         )
-        run_experiment(replace(cfg, n_frames=1))  # lazy imports stay out of the peak
+        run_experiment(replace(cfg, n_frames=2))  # lazy imports stay out of the peak
         tracemalloc.start()
         try:
             trials, _ = run_experiment(cfg)
@@ -347,7 +354,7 @@ class TestBlockedLoop:
         # blocks of 16 frames: 40 frames span three blocks, the last partial
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
         cfg = _config(**overrides)
-        got = harness._run_frames(cfg, 0, cfg.n_frames)
+        got, _ = run_experiment(cfg)
         want = _reference_frames(cfg)
         for pol in cfg.policies:
             assert _trials_equal(got[pol], want[pol]), pol
@@ -368,7 +375,7 @@ class TestBlockedLoop:
 
         monkeypatch.setattr(kernels, "gamma_ub", counted)
         cfg = _config(edge_mode=edge_mode)
-        trials = harness._run_frames(cfg, 0, cfg.n_frames)
+        trials, _ = run_experiment(cfg)
         model = build_markov(cfg.n_grid, cfg.beta, cfg.sigma, edge_mode=edge_mode)
         init = harness._trajectories(cfg, model, range(cfg.n_frames))[0]
         n_steps = cfg.p_ttis - 1
@@ -390,7 +397,7 @@ class TestBlockedLoop:
         # (measured at most 6e-13 on N=64 configs at 10 and 20 dB).
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
         cfg = _config(n_tx=32, n_grid=64, sigma=5, beta=0.2, p_ttis=6, n_frames=40)
-        got = harness._run_frames(cfg, 0, cfg.n_frames)
+        got, _ = run_experiment(cfg)
         want = _reference_frames(cfg, rebuild=True)
         for pol in cfg.policies:
             for name in ("frame", "tti", "true_index", "est_index", "error"):
@@ -404,17 +411,19 @@ class TestBlockedLoop:
         cfg = _config(
             n_frames=n_frames, p_ttis=3, policy=["directional_tep", "beam_cycling"]
         )
-        got = harness._run_frames(cfg, 0, n_frames)
+        got, _ = run_experiment(cfg)
         want = _reference_frames(cfg)
         for pol in cfg.policies:
             assert _trials_equal(got[pol], want[pol]), pol
 
     def test_frame_range_offset(self, monkeypatch):
-        # a worker's frame range starting mid-run sees the same frames
+        # a block starting mid-run, and across the run's own blocks, sees the
+        # same frames, as a pool worker's block does
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 8)
         cfg = _config(n_frames=30)
-        whole = harness._run_frames(cfg, 0, 30)
-        tail = harness._run_frames(cfg, 13, 30)
+        whole, _ = run_experiment(cfg)
+        harness._prepare(cfg)
+        tail = harness._prepared_block(range(13, 30))
         for pol in cfg.policies:
             assert _trials_equal(tail[pol], whole[pol][whole[pol]["frame"] >= 13])
 
@@ -450,9 +459,8 @@ class TestBlockedLoop:
         codebook = build_codebook(build_grid(cfg.n_grid), cfg.n_tx)
         model = build_markov(cfg.n_grid, cfg.beta, cfg.sigma)
         scheduler = BeamScheduler(model, codebook, 10.0, cfg.m_beams, cfg.psa)
-        designed = ["psa_optimized", "directional_tep"]
         cycling = beam_cycling_probes(cfg.n_tx, codebook)
-        args = (model, 10.0, scheduler, designed, cycling)
+        args = (scheduler, cycling)
         harness._run_block(cfg, range(2), *args)  # designs, imports
         tracemalloc.start()
         try:
