@@ -6,13 +6,15 @@ relative.  The tolerance exists because bits can depend on the host: the
 prior propagation's matmul goes through BLAS, and exp and log use
 CPU-dispatched SIMD.  It is far above those last-bit effects and far below
 any change of design or tracking.  Whether each file's SHA-256 also matches
-is printed, one ``FIXTURE`` line per file.
+is printed, one ``FIXTURE`` line per file.  A run with two worker processes
+must write the same bytes as the serial run.
 """
 
 import csv
 import hashlib
 import json
 import math
+import os
 
 import pytest
 
@@ -100,3 +102,14 @@ def test_outputs_match_fixture(fresh, case):
         if moved:
             failures.append(f"{path}: {len(moved)} cells moved, first {moved[:3]}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+@pytest.mark.parametrize("case", ["fig2_wrap", "fig2_truncate", "beta_sweep"])
+def test_parallel_matches_serial(fresh, tmp_path, monkeypatch, case):
+    # two workers split each run into two blocks, the second starting mid-run
+    out, files = fresh
+    monkeypatch.setenv("BEAMTRACK_THREADS", "2")
+    generate(tmp_path, {case: CASES[case]})
+    for path in (p for p in files if p.parts[0] == case):
+        assert (tmp_path / path).read_bytes() == (out / path).read_bytes(), path
