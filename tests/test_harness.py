@@ -422,6 +422,7 @@ class TestBlockedLoop:
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 8)
         cfg = _config(n_frames=30)
         whole, _ = run_experiment(cfg)
+        monkeypatch.setattr(harness, "_prepared", {})
         harness._prepare(cfg)
         tail = harness._prepared_block(range(13, 30))
         for pol in cfg.policies:
