@@ -329,16 +329,11 @@ def _run_block(config: ExperimentConfig, frames: range, scheduler, cycling):
     return out
 
 
-# The current run's config, scheduler and probe sweep in this process.
-_prepared = {}
-
-
-def _prepare(config: ExperimentConfig):
-    """Build the scheduler and probe sweep once per process and run: in the
-    caller of a serial run, or as each pool worker's initializer."""
+def _prepare(config: ExperimentConfig) -> dict:
+    """The scheduler and probe sweep that all of one process's blocks of a
+    run share, with the config, as keywords of :func:`_run_block`."""
     snr = 10.0 ** (float(config.snr_db) / 10.0)
-    grid = build_grid(config.n_grid)
-    codebook = build_codebook(grid, config.n_tx)
+    codebook = build_codebook(build_grid(config.n_grid), config.n_tx)
     model = build_markov(
         config.n_grid, float(config.beta), config.sigma, edge_mode=config.edge_mode
     )
@@ -348,11 +343,19 @@ def _prepare(config: ExperimentConfig):
         if "beam_cycling" in config.policies
         else None
     )
-    _prepared.update(config=config, scheduler=scheduler, cycling=cycling)
+    return dict(config=config, scheduler=scheduler, cycling=cycling)
 
 
-def _prepared_block(frames: range) -> dict[str, np.ndarray]:
-    return _run_block(frames=frames, **_prepared)
+# A pool worker's run state, set once by its initializer.
+_worker = {}
+
+
+def _init_worker(config: ExperimentConfig):
+    _worker.update(_prepare(config))
+
+
+def _worker_block(frames: range) -> dict[str, np.ndarray]:
+    return _run_block(frames=frames, **_worker)
 
 
 def _worker_count() -> int:
@@ -407,15 +410,14 @@ def run_experiment(
                 trials[pol][block.start * n_steps : block.stop * n_steps] = part[pol]
 
     if workers == 1 or len(blocks) == 1:
-        _prepare(config)
-        fill(map(_prepared_block, blocks))
-        _prepared.clear()  # no scheduler outlives its run in the caller
+        state = _prepare(config)
+        fill(_run_block(frames=block, **state) for block in blocks)
     else:
         # Imported here: multiprocessing costs every serial run's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, initializer=_prepare, initargs=(config,)) as pool:
-            fill(pool.map(_prepared_block, blocks))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config,)) as pool:
+            fill(pool.map(_worker_block, blocks))
 
     summary = [
         _summary_row(f"tti={int(tti)}", pol, trials[pol][trials[pol]["tti"] == tti])

@@ -422,9 +422,7 @@ class TestBlockedLoop:
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 8)
         cfg = _config(n_frames=30)
         whole, _ = run_experiment(cfg)
-        monkeypatch.setattr(harness, "_prepared", {})
-        harness._prepare(cfg)
-        tail = harness._prepared_block(range(13, 30))
+        tail = harness._run_block(frames=range(13, 30), **harness._prepare(cfg))
         for pol in cfg.policies:
             assert _trials_equal(tail[pol], whole[pol][whole[pol]["frame"] >= 13])
 
