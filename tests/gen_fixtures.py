@@ -30,6 +30,15 @@ CASES = {
     ),
     "optimize_propagated17": (["optimize", "--prior", "propagated:17"], {}),
 }
+# Beam designs at the β-sweep's design points (20 dB) and at 40 dB, where the
+# bound kernel is least accurate against its oracle; with the Fig. 2 design
+# above, seven operating points.
+DESIGN_POINTS = [(0.1, 20), (0.3, 20), (0.5, 20), (0.7, 20), (0.9, 20), (0.2, 40)]
+for beta, snr_db in DESIGN_POINTS:
+    CASES[f"optimize_propagated0_beta{beta:g}_{snr_db}db"] = (
+        ["optimize", "--prior", "propagated:0"],
+        {"beta": beta, "snr_db": float(snr_db)},
+    )
 
 
 def generate(out: Path, cases=CASES) -> list[Path]:
