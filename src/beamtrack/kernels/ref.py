@@ -15,15 +15,16 @@ the other <= 0.
 
 One formula gives the pair tail mu from these eigenvalues and the log
 threshold delta: :func:`_fold` turns the eigenvalues into per-pair
-constants once, and :func:`_mu` evaluates them at each prior's delta.  The
-one-prior, block and design-batch entries all run it.
+constants once, and :func:`_mu` evaluates them at each prior's delta.  Both
+entries run it: :func:`gamma_ub` scores one prior or a block of priors
+against one sensing matrix, for logging, and :func:`gamma_ub_batch` one
+prior against a stack of sensing matrices, for beam design.
 
-The logging entries (:func:`gamma_ub_rows` and the one-prior
-:func:`gamma_ub`) score each prior on its effective support, the entries
-above LOG_EPS / (2 N^2) for a prior of length N, not on every positive
-entry.  mu_kn is the probability that the MAP test prefers n over k when k
-is true; by Markov's inequality on the likelihood ratio,
-mu_kn <= E_k[p_n f_n / (p_k f_k)] = p_n / p_k, so every pair adds
+The logging entry :func:`gamma_ub` scores each prior on its effective
+support, the entries above LOG_EPS / (2 N^2) for a prior of length N, not
+on every positive entry.  mu_kn is the probability that the MAP test
+prefers n over k when k is true; by Markov's inequality on the likelihood
+ratio, mu_kn <= E_k[p_n f_n / (p_k f_k)] = p_n / p_k, so every pair adds
 p_k mu_kn <= min(p_k, p_n) to the bound.  A pair that touches a cut entry
 therefore adds at most LOG_EPS / (2 N^2), and fewer than 2 N^2 pairs do, so
 a logged bound moves by less than LOG_EPS absolute, plus the rounding of
@@ -45,14 +46,14 @@ ZERO_EIG_RTOL = 1e-10
 # spurious nonzero eigenvalue pair.
 RANK_DEFICIENT_RTOL = 1e-12
 # Hypothesis pairs (rows x support x support) per prior-dependent step of
-# gamma_ub_rows.  The step holds about six temporaries of this many doubles,
+# gamma_ub.  The step holds about six temporaries of this many doubles,
 # so this caps them near 0.4 MB whatever the block size.
 ROW_PAIRS = 1 << 13
 # Smallest tail argument whose exp is computed; below it the tail is 0.
 # numpy's exp slows several-fold from about -708 down, where results
 # approach the subnormal range.
 EXP_FLOOR = -700.0
-# Absolute tolerance of a logged bound: gamma_ub_rows drops the hypotheses
+# Absolute tolerance of a logged bound: gamma_ub drops the hypotheses
 # whose prior is at most LOG_EPS / (2 N^2), which moves the bound by less
 # than this (see the module docstring).
 LOG_EPS = 1e-16
@@ -229,17 +230,10 @@ def gamma_ub_batch(
 
 def gamma_ub(
     prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
-) -> float:
-    """Union upper bound on the tracking error probability (unclamped), on
-    the prior's effective support: the one-row :func:`gamma_ub_rows`."""
-    prior = np.asarray(prior, dtype=float)
-    return float(gamma_ub_rows(prior[None], gram_abs2, norms_sq, snr)[0])
-
-
-def gamma_ub_rows(
-    prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
-) -> np.ndarray:
-    """Union bounds of an (F, N) block of priors against one sensing matrix.
+) -> np.ndarray | float:
+    """Union upper bounds on the tracking error probability (unclamped) of
+    an (F, N) block of priors against one sensing matrix, as (F,); a (N,)
+    prior is scored as a one-row block and gives a float.
 
     Each row is scored on its effective support, the entries above
     ``LOG_EPS / (2 N^2)``.  Every pair that involves a dropped entry adds at
@@ -249,13 +243,15 @@ def gamma_ub_rows(
     ulp of rounding, of the bound on every positive entry; a row with no
     positive entry at or below the threshold keeps those bits exactly.
 
-    Each of the (F,) results equals :func:`gamma_ub` on that row bit for bit.
+    Each of the (F,) results equals the call on that row bit for bit.
     Every prior-independent pair term is computed once, on the union of the
     rows' effective supports.  Rows are scored in groups of equal effective
     support, each group on that support and at most ``ROW_PAIRS`` pairs at a
     time.
     """
     prior = np.asarray(prior, dtype=float)
+    if prior.ndim == 1:
+        return float(gamma_ub(prior[None], gram_abs2, norms_sq, snr)[0])
     support = prior > LOG_EPS / (2 * prior.shape[-1] ** 2)
     union = np.flatnonzero(support.any(axis=0))
     out = np.zeros(len(prior))

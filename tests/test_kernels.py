@@ -75,8 +75,9 @@ def _loop_gamma_ub(s, prior, snr):
 class TestKernelAgreement:
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 16), (2, 64), (4, 24)])
     def test_impls_agree(self, m, n):
-        # the one-prior, block and design-batch entries share the folded
-        # formula but reduce differently; each agrees with the one-prior one
+        # the logging entry, on one prior or a block, and the design batch
+        # share the folded formula but reduce differently; each agrees with
+        # the one-prior call
         rng = np.random.default_rng(n)
         problems = [_random_problem(rng, m, n) for _ in range(20)]
         snrs = 10.0 ** rng.uniform(-1, 3, size=len(problems))
@@ -188,7 +189,8 @@ class TestGammaUbBatch:
 
 
 class TestGammaUbRows:
-    """The block logging entry equals a one-row call on each row bit for bit."""
+    """The logging entry scores a block of priors as one-row calls on each
+    row, bit for bit."""
 
     def _block(self, rng, m, n, f=9):
         s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -212,12 +214,12 @@ class TestGammaUbRows:
     def test_matches_per_row(self, m, n, snr):
         rng = np.random.default_rng(m * n)
         prior, gram_abs2, norms_sq = self._block(rng, m, n)
-        rows = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
-        got = kernels.gamma_ub(prior, gram_abs2, norms_sq, snr)
-        assert rows.shape == got.shape == (len(prior),)
+        assert kernels.gamma_ub is ref.gamma_ub
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
+        assert got.shape == (len(prior),)
         for f, row in enumerate(prior):
-            assert rows[f] == ref.gamma_ub(row, gram_abs2, norms_sq, snr)
-            assert got[f] == kernels.gamma_ub(row, gram_abs2, norms_sq, snr)
+            one = ref.gamma_ub(row, gram_abs2, norms_sq, snr)
+            assert type(one) is float and got[f] == one
 
     def _mixed_block(self, rng, aligned):
         """Fig. 2-sized priors of many support sizes in one block."""
@@ -247,7 +249,7 @@ class TestGammaUbRows:
         rng = np.random.default_rng(int(snr * 1000) % 97)
         prior, gram_abs2, norms_sq = self._mixed_block(rng, aligned)
         assert len(np.unique((prior > 0).sum(axis=1))) >= 5
-        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
         want = [ref.gamma_ub(row, gram_abs2, norms_sq, snr) for row in prior]
         assert got.tolist() == want
 
@@ -265,7 +267,7 @@ class TestGammaUbRows:
         monkeypatch.setattr(ref, "_rows_mu", recorded)
         monkeypatch.setattr(ref, "ROW_PAIRS", 1 << 20)  # one step per group
         prior, gram_abs2, norms_sq = self._mixed_block(np.random.default_rng(2), False)
-        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         effective = prior > ref.LOG_EPS / (2 * 64**2)
         patterns = np.unique(effective, axis=0)
         assert len(patterns) < len(prior)
@@ -313,7 +315,7 @@ class TestGammaUbRows:
                         want[a, b] = _mu_four_cases(lam1[k, n], lam2[k, n], delta)
             assert np.array_equal(got, want)
         assert ties > 0
-        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         assert got.tolist() == [ref.gamma_ub(r, gram_abs2, norms_sq, 10.0) for r in prior]
 
     def test_stacked_constants_match_per_gram(self):
@@ -342,7 +344,7 @@ class TestGammaUbRows:
 
         monkeypatch.setattr(ref, "pair_eigs", counted)
         prior, gram_abs2, norms_sq = self._mixed_block(np.random.default_rng(3), False)
-        ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         assert len(calls) == 1
 
     def test_equal_supports_skip_grouping(self):
@@ -355,15 +357,15 @@ class TestGammaUbRows:
         arc = rng.random((4, 64)) * (prior[0] > 0.0)
         point = np.eye(64)[[0]]
         for rows in (full, full[:1], arc / arc.sum(axis=1, keepdims=True)):
-            alone = ref.gamma_ub_rows(rows, gram_abs2, norms_sq, 10.0)
-            grouped = ref.gamma_ub_rows(np.vstack([rows, point]), gram_abs2, norms_sq, 10.0)
+            alone = ref.gamma_ub(rows, gram_abs2, norms_sq, 10.0)
+            grouped = ref.gamma_ub(np.vstack([rows, point]), gram_abs2, norms_sq, 10.0)
             assert np.array_equal(alone, grouped[:-1])
 
     def test_empty_support_row(self):
         rng = np.random.default_rng(6)
         prior, gram_abs2, norms_sq = self._block(rng, 2, 12)
         prior[3] = 0.0
-        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         assert got[3] == 0.0
         assert got.tolist() == [ref.gamma_ub(r, gram_abs2, norms_sq, 10.0) for r in prior]
 
@@ -371,9 +373,9 @@ class TestGammaUbRows:
         # a step budget of two rows gives the same bits as one step
         rng = np.random.default_rng(4)
         prior, gram_abs2, norms_sq = self._block(rng, 2, 12)
-        whole = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        whole = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         monkeypatch.setattr(ref, "ROW_PAIRS", 2 * 12 * 12)
-        split = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, 10.0)
+        split = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         assert np.array_equal(whole, split)
 
 
@@ -436,7 +438,7 @@ class TestEffectiveSupport:
         gram_abs2 = np.abs(s.conj().T @ s) ** 2
         prior = self._tailed_priors(rng, n)
         assert (prior <= ref.LOG_EPS / (2 * n * n)).any(axis=1).sum() >= 6
-        got = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
         for row, value in zip(prior, got):
             want = ref.gamma_ub_batch(row, gram_abs2[None], norms_sq[None], snr)[0]
             assert abs(value - want) <= ref.LOG_EPS + 4 * np.spacing(want)
@@ -457,12 +459,12 @@ class TestEffectiveSupport:
         prior = np.vstack([kept, self._tailed_priors(rng, n)])
         cut = ((prior > 0.0) & (prior <= ref.LOG_EPS / (2 * n * n))).any(axis=1)
         assert not cut[: len(kept)].any() and cut[len(kept) :].sum() >= 6
-        new = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        new = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
         monkeypatch.setattr(ref, "LOG_EPS", 0.0)
-        exact = ref.gamma_ub_rows(prior, gram_abs2, norms_sq, snr)
+        exact = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
         assert np.array_equal(new[~cut], exact[~cut])
         assert (np.abs(new - exact)[cut] <= ref.LOG_EPS + 4 * np.spacing(exact[cut])).all()
-        alone = ref.gamma_ub_rows(kept, gram_abs2, norms_sq, snr)
+        alone = ref.gamma_ub(kept, gram_abs2, norms_sq, snr)
         assert np.array_equal(alone, new[: len(kept)])
 
 
