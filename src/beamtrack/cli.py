@@ -14,33 +14,20 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .arraymodel import build_codebook, build_grid, build_markov
-from .harness import ExperimentConfig, run_experiment, sweep
+from .harness import TRIAL_DTYPE, ExperimentConfig, SummaryRow, run_experiment, sweep
 from .optimizer import directional_mode, optimize_beams, select_directional_pair
 from .tracking import Belief
 
-SUMMARY_COLUMNS = (
-    "group_key",
-    "policy",
-    "tep_mean",
-    "tep_stderr",
-    "mean_gamma_ub",
-    "n_frames",
-)
-TRIAL_COLUMNS = (
-    "policy",
-    "frame",
-    "tti",
-    "true_index",
-    "est_index",
-    "error",
-    "gamma_ub",
-)
+# Each table's columns are the fields of the type that holds its rows.
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+TRIAL_COLUMNS = ("policy", *TRIAL_DTYPE.names)
 # Trial rows formatted and written per piece: the text of a run's trials is
 # never held whole, whatever n_frames is.
 CHUNK_ROWS = 4096
@@ -94,18 +81,8 @@ def _write(path: Path, pieces) -> str:
 def _summary_csv(rows) -> str:
     lines = [",".join(SUMMARY_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.group_key,
-                    r.policy,
-                    _fmt(r.tep_mean),
-                    _fmt(r.tep_stderr),
-                    _fmt(r.mean_gamma_ub),
-                    str(r.n_frames),
-                ]
-            )
-        )
+        cells = (getattr(r, name) for name in SUMMARY_COLUMNS)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
