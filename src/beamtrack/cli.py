@@ -14,14 +14,14 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .arraymodel import build_codebook, build_grid, build_markov
-from .harness import TRIAL_DTYPE, ExperimentConfig, SummaryRow, run_experiment, sweep
+from .arraymodel import MarkovModel
+from .harness import TRIAL_DTYPE, ExperimentConfig, SummaryRow, prepare, run_experiment, sweep
 from .optimizer import directional_mode, optimize_beams, select_directional_pair
 from .tracking import Belief
 
@@ -107,21 +107,20 @@ def _manifest(config: ExperimentConfig, digests: dict[str, str], started: float)
         "version": __version__,
         "seed": config.seed,
         "config": config.to_dict(),
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.perf_counter() - started, 3),
         "outputs": digests,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_prior_spec(spec: str, config: ExperimentConfig) -> Belief:
-    n = config.n_grid
+def parse_prior_spec(spec: str, model: MarkovModel) -> Belief:
+    """The design prior that ``spec`` names on the grid of ``model``."""
+    n = model.n_points
     if spec == "uniform":
         return Belief.uniform(n)
     if spec.startswith("point:"):
         return Belief.point_mass(n, _parse_index(spec, n))
     if spec.startswith("propagated:"):
-        beta = config.beta[0] if config.swept == "beta" else config.beta
-        model = build_markov(n, float(beta), config.sigma, edge_mode=config.edge_mode)
         return Belief(model.transition[_parse_index(spec, n)])
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
@@ -165,30 +164,23 @@ def _parse_index(spec: str, n: int) -> int:
 
 def cmd_optimize(args) -> int:
     config = load_config(args.config)
-    snr_db = config.snr_db[0] if config.swept == "snr_db" else config.snr_db
+    if config.swept is not None:  # beams for the first sweep point
+        config = replace(config, **{config.swept: float(getattr(config, config.swept)[0])})
     try:
-        snr = 10.0 ** (float(snr_db) / 10.0)
-        prior = parse_prior_spec(args.prior, config)
-        grid = build_grid(config.n_grid)
-        codebook = build_codebook(grid, config.n_tx)
+        scheduler = prepare(config)["scheduler"]
+        codebook, snr = scheduler.codebook, scheduler.snr
+        prior = parse_prior_spec(args.prior, scheduler.model)
         indices, directional_score = select_directional_pair(
             prior, codebook, snr, config.m_beams
         )
-        result = optimize_beams(
-            prior,
-            codebook,
-            snr,
-            config.m_beams,
-            config.psa,
-            indices,
-        )
+        result = optimize_beams(prior, codebook, snr, config.m_beams, config.psa, indices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     payload = {
         "n_tx": config.n_tx,
         "m_beams": config.m_beams,
-        "snr_db": float(snr_db),
+        "snr_db": float(config.snr_db),
         "prior_spec": args.prior,
         "seed": config.psa.seed,
         "phases": [[float(f"{v:.17g}") for v in row] for row in result.beams.phases],
@@ -206,7 +198,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     config = load_config(args.config)
     try:
         trials, summary = run_experiment(config)
@@ -222,7 +214,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     config = load_config(args.config)
     param = {"beta": "beta", "snr": "snr_db"}[args.param]
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "ExperimentConfig",
     "TRIAL_DTYPE",
     "SummaryRow",
+    "prepare",
     "run_experiment",
     "sweep",
     "beam_cycling_probes",
@@ -264,7 +266,7 @@ def _noise(normals: np.ndarray, m: int, snr: float) -> np.ndarray:
     return (normals[:, :m] + 1j * normals[:, m : 2 * m]) * np.sqrt(0.5 / snr)
 
 
-def _run_block(config: ExperimentConfig, frames: range, scheduler, cycling):
+def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
     """Simulate a block of frames, all advancing one period at a time.
 
     ``scheduler`` serves the beams of the designed policies, with its model
@@ -329,9 +331,10 @@ def _run_block(config: ExperimentConfig, frames: range, scheduler, cycling):
     return out
 
 
-def _prepare(config: ExperimentConfig) -> dict:
-    """The scheduler and probe sweep that all of one process's blocks of a
-    run share, with the config, as keywords of :func:`_run_block`."""
+def prepare(config: ExperimentConfig) -> dict:
+    """The operating point of a run whose ``beta`` and ``snr_db`` are
+    numbers: the scheduler and probe sweep that all of its blocks share,
+    with the config, as keywords of :func:`_run_block`."""
     snr = 10.0 ** (float(config.snr_db) / 10.0)
     codebook = build_codebook(build_grid(config.n_grid), config.n_tx)
     model = build_markov(
@@ -344,18 +347,6 @@ def _prepare(config: ExperimentConfig) -> dict:
         else None
     )
     return dict(config=config, scheduler=scheduler, cycling=cycling)
-
-
-# A pool worker's run state, set once by its initializer.
-_worker = {}
-
-
-def _init_worker(config: ExperimentConfig):
-    _worker.update(_prepare(config))
-
-
-def _worker_block(frames: range) -> dict[str, np.ndarray]:
-    return _run_block(frames=frames, **_worker)
 
 
 def _worker_count() -> int:
@@ -409,15 +400,18 @@ def run_experiment(
             for pol in config.policies:
                 trials[pol][block.start * n_steps : block.stop * n_steps] = part[pol]
 
+    state = prepare(config)
+    run = partial(_run_block, **state)
     if workers == 1 or len(blocks) == 1:
-        state = _prepare(config)
-        fill(_run_block(frames=block, **state) for block in blocks)
+        fill(map(run, blocks))
     else:
         # Imported here: multiprocessing costs every serial run's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config,)) as pool:
-            fill(pool.map(_worker_block, blocks))
+        # Every worker gets a copy of the scheduler with every design made.
+        state["scheduler"].design_all(p for p in config.policies if p != "beam_cycling")
+        with ProcessPoolExecutor(workers) as pool:
+            fill(pool.map(run, blocks))
 
     summary = [
         _summary_row(f"tti={int(tti)}", pol, trials[pol][trials[pol]["tti"] == tti])

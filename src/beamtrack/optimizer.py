@@ -371,6 +371,13 @@ class BeamScheduler:
             designed = self._designs[policy, key] = self._design(policy, key)
         return designed
 
+    def design_all(self, policies) -> None:
+        """Design every canonical index for each of ``policies``, so that a
+        copy of this scheduler, such as a pool worker's, designs nothing."""
+        for policy in policies:
+            for key in np.unique(self.model.canonical):
+                self.beams_for_index(policy, int(key))
+
     def serve(
         self, policy: str, prev_est: np.ndarray, priors: np.ndarray
     ) -> tuple[SensingMatrix, np.ndarray, np.ndarray]:

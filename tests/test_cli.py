@@ -14,7 +14,6 @@ import pytest
 
 import beamtrack
 from beamtrack import cli, harness
-from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
@@ -66,20 +65,20 @@ class TestConfigLoading:
         assert cfg.psa.swarm_size == 8
 
     def test_prior_specs(self, tmp_path):
-        cfg = load_config(_write_config(tmp_path))
-        uni = parse_prior_spec("uniform", cfg)
+        model = harness.prepare(load_config(_write_config(tmp_path)))["scheduler"].model
+        uni = parse_prior_spec("uniform", model)
         np.testing.assert_allclose(uni.probs, 1 / 16)
-        pm = parse_prior_spec("point:5", cfg)
+        pm = parse_prior_spec("point:5", model)
         assert pm.probs[5] == 1.0
-        prop = parse_prior_spec("propagated:0", cfg)
+        prop = parse_prior_spec("propagated:0", model)
         assert prop.probs.sum() == pytest.approx(1.0)
         assert prop.probs[0] > prop.probs[1] > 0
 
     def test_prior_file(self, tmp_path):
-        cfg = load_config(_write_config(tmp_path))
+        model = harness.prepare(load_config(_write_config(tmp_path)))["scheduler"].model
         pfile = tmp_path / "prior.txt"
         pfile.write_text("\n".join(["1"] * 16))
-        belief = parse_prior_spec(f"file:{pfile}", cfg)
+        belief = parse_prior_spec(f"file:{pfile}", model)
         np.testing.assert_allclose(belief.probs, 1 / 16)
 
     @pytest.mark.parametrize(
@@ -180,6 +179,7 @@ class TestConfigLoading:
     def test_column_limits(self, tmp_path, capsys, monkeypatch, field, limit):
         # the limit loads and one past it exits 2 naming the field; neither runs
         assert getattr(load_config(_write_config(tmp_path, {field: limit})), field) == limit
+        monkeypatch.setattr(harness, "prepare", _never_called)
         monkeypatch.setattr(harness, "_run_block", _never_called)
         cfg = _write_config(tmp_path, {field: limit + 1})
         out = tmp_path / "o"
@@ -192,6 +192,7 @@ class TestConfigLoading:
         # without beam_cycling one antenna loads
         single = {"n_tx": 1, "policy": "directional_tep"}
         assert load_config(_write_config(tmp_path, single)).n_tx == 1
+        monkeypatch.setattr(harness, "prepare", _never_called)
         monkeypatch.setattr(harness, "_run_block", _never_called)
         cfg = _write_config(tmp_path, {"n_tx": 1})
         out = tmp_path / "o"
@@ -228,6 +229,15 @@ class TestSimulate:
         for name, digest in manifest["outputs"].items():
             body = (out / name).read_text().encode()
             assert hashlib.sha256(body).hexdigest() == digest
+
+    def test_duration_ignores_wall_clock_steps(self, tmp_path, monkeypatch):
+        # the wall clock steps back an hour at every read; the manifest's
+        # duration comes from a monotonic clock
+        clock = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -271,13 +281,14 @@ class TestSimulate:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("value", ["abc", "0", "1.5", "CPUS+1"])
     def test_exit_2_on_bad_worker_count(self, tmp_path, capsys, monkeypatch, command, value):
-        # checked before any worker starts: building a pool fails the test
+        # checked before any design or worker starts: either fails the test
         from concurrent import futures
 
         cap = os.cpu_count()
         value = str(cap + 1) if value == "CPUS+1" else value
         monkeypatch.setenv("BEAMTRACK_THREADS", value)
         monkeypatch.setattr(futures, "ProcessPoolExecutor", _never_called)
+        monkeypatch.setattr(harness, "prepare", _never_called)
         monkeypatch.setattr(harness, "_run_block", _never_called)
         cfg = _write_config(tmp_path, {"beta": [0.3]} if command == "sweep" else None)
         extra = ["--param", "beta"] if command == "sweep" else []
@@ -559,10 +570,9 @@ class TestOptimizeCommand:
         # optimizer never loses to its directional seed
         assert payload["gamma_ub"] <= baseline["gamma_ub"] + 1e-12
         # the stored phases reproduce the reported score
-        cb = build_codebook(build_grid(16), 8)
-        config = load_config(cfg)
-        prior = parse_prior_spec("propagated:0", config)
-        score = beam_objective(BeamMatrix(phases=phases), cb, prior, 10.0)
+        scheduler = harness.prepare(load_config(cfg))["scheduler"]
+        prior = parse_prior_spec("propagated:0", scheduler.model)
+        score = beam_objective(BeamMatrix(phases=phases), scheduler.codebook, prior, 10.0)
         assert score == pytest.approx(payload["gamma_ub"], rel=1e-12)
 
     def test_greedy_baseline_beyond_budget(self, tmp_path):

@@ -1,5 +1,6 @@
 """Monte-Carlo harness tests: reproducibility, shared randomness, baselines."""
 
+import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack import harness, kernels
+from beamtrack import harness, kernels, optimizer
 from beamtrack.kernels import ref
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.harness import (
@@ -272,6 +273,29 @@ class TestRunExperiment:
         parallel, _ = run_experiment(cfg)
         assert np.array_equal(serial["directional_tep"], parallel["directional_tep"])
 
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2 or multiprocessing.get_start_method() != "fork",
+        reason="needs two CPUs, and forked workers to see the patch",
+    )
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    def test_workers_design_nothing(self, monkeypatch, edge_mode):
+        # the caller makes every design before the pool starts, so a design
+        # in any other process fails the run
+        caller = os.getpid()
+
+        def caller_only(fn):
+            def wrapped(*args, **kwargs):
+                if os.getpid() != caller:
+                    raise AssertionError(f"{fn.__name__} ran in a pool worker")
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("optimize_beams", "select_directional_pair"):
+            monkeypatch.setattr(optimizer, name, caller_only(getattr(optimizer, name)))
+        monkeypatch.setenv("BEAMTRACK_THREADS", "2")
+        run_experiment(_config(edge_mode=edge_mode))
+
 
 def _reference_frames(config, rebuild=False):
     """Frame-by-frame, policy-by-policy tracking loop from the single-Belief
@@ -422,7 +446,7 @@ class TestBlockedLoop:
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 8)
         cfg = _config(n_frames=30)
         whole, _ = run_experiment(cfg)
-        tail = harness._run_block(frames=range(13, 30), **harness._prepare(cfg))
+        tail = harness._run_block(range(13, 30), **harness.prepare(cfg))
         for pol in cfg.policies:
             assert _trials_equal(tail[pol], whole[pol][whole[pol]["frame"] >= 13])
 
@@ -454,20 +478,15 @@ class TestBlockedLoop:
     def test_block_peak_memory(self):
         # with designs warmed, one full three-policy Fig. 2 block traces a
         # fixed peak whatever n_frames is (measured 4.9 MB)
-        cfg = ExperimentConfig(policy=list(POLICIES))
-        codebook = build_codebook(build_grid(cfg.n_grid), cfg.n_tx)
-        model = build_markov(cfg.n_grid, cfg.beta, cfg.sigma)
-        scheduler = BeamScheduler(model, codebook, 10.0, cfg.m_beams, cfg.psa)
-        cycling = beam_cycling_probes(cfg.n_tx, codebook)
-        args = (scheduler, cycling)
-        harness._run_block(cfg, range(2), *args)  # designs, imports
+        state = harness.prepare(ExperimentConfig(policy=list(POLICIES)))
+        harness._run_block(range(2), **state)  # designs, imports
         tracemalloc.start()
         try:
-            harness._run_block(cfg, range(harness.BLOCK_FRAMES), *args)
+            harness._run_block(range(harness.BLOCK_FRAMES), **state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert scheduler.design_count == 2
+        assert state["scheduler"].design_count == 2
         assert peak < 6e6
 
 

@@ -245,6 +245,15 @@ class TestScheduler:
                 assert np.array_equal(rolled[k], np.roll(priors[k], -k))
             assert np.array_equal(keys, np.zeros(8, dtype=int))
         assert sched.design_count == 2
+        # designing every class first makes the same designs, each once
+        policies = ("psa_optimized", "directional_tep")
+        eager = self._scheduler()
+        eager.design_all(policies)
+        eager.design_all(policies)
+        assert eager.design_count == 2
+        for policy in policies:
+            want = sched.beams_for_index(policy, 0).sensing.matrix
+            assert np.array_equal(eager.beams_for_index(policy, 5).sensing.matrix, want)
 
     def test_shift_preserves_score(self):
         # a circular shift of the propagated prior maps the designed beams to
@@ -327,14 +336,20 @@ class TestScheduler:
 
     def test_truncate_designs_bounded(self):
         # serving every index of an N=256, sigma=5 truncate model designs at
-        # most 2 * sigma + 1 = 11 times per policy
+        # most 2 * sigma + 1 = 11 times per policy, and so does designing
+        # every class first, after which serving designs nothing
         model = build_markov(256, 0.2, 5, edge_mode="truncate")
         cb = build_codebook(build_grid(256), 8)
-        sched = BeamScheduler(model, cb, 10.0, 1, PsaConfig(swarm_size=4, max_iters=2))
+        policies = ("psa_optimized", "directional_tep")
         prev_est = np.arange(256)
-        for policy in ("psa_optimized", "directional_tep"):
-            sched.serve(policy, prev_est, model.transition)
-        assert sched.design_count == 2 * 11
+        for eager in (False, True):
+            sched = BeamScheduler(model, cb, 10.0, 1, PsaConfig(swarm_size=4, max_iters=2))
+            if eager:
+                sched.design_all(policies)
+                assert sched.design_count == 2 * 11
+            for policy in policies:
+                sched.serve(policy, prev_est, model.transition)
+            assert sched.design_count == 2 * 11
 
     def test_shared_search_runs_once(self, monkeypatch):
         # one scheduler serving both policies runs the directional search
