@@ -3,7 +3,9 @@
 Both entries are numpy, from :mod:`beamtrack.kernels.ref`, and run one
 folded mu formula: ``gamma_ub`` logs the bound for one prior or a block of
 priors against one sensing matrix, and ``gamma_ub_batch`` scores one prior
-against many sensing matrices at once for beam design.
+against many sensing matrices at once for beam design.  Each call evaluates
+the generic pairs, both eigenvalues nonzero, densely in a few arrays that it
+reuses, and patches the few other pairs by index.
 """
 
 from . import ref

@@ -14,11 +14,23 @@ vv = g2 + q_n/snr.  D <= 0 by Cauchy-Schwarz, so one eigenvalue is >= 0 and
 the other <= 0.
 
 One formula gives the pair tail mu from these eigenvalues and the log
-threshold delta: :func:`_fold` turns the eigenvalues into per-pair
-constants once, and :func:`_mu` evaluates them at each prior's delta.  Both
-entries run it: :func:`gamma_ub` scores one prior or a block of priors
-against one sensing matrix, for logging, and :func:`gamma_ub_batch` one
-prior against a stack of sensing matrices, for beam design.
+threshold delta: :func:`_pair_constants` turns the eigenvalues into
+per-pair constants once, and :func:`_mu` evaluates them at each prior's
+delta.  Both entries run it: :func:`gamma_ub` scores one prior or a block
+of priors against one sensing matrix, for logging, and
+:func:`gamma_ub_batch` one prior against a stack of sensing matrices, for
+beam design.
+
+The prior-independent pass is dense and reuses its buffers: the
+eigenvalues of every pair are computed in a few arrays of the pair shape,
+written through ``out=``, and so are the constants of the generic pairs,
+those with both eigenvalues nonzero.  The rest, rank-deficient (aligned)
+pairs and pairs with an eigenvalue within ZERO_EIG_RTOL of zero, are few
+in a swarm's stack and are patched by index; where they are more than a
+quarter of the pairs, every pair is folded instead.  :func:`_fold`, the
+one statement of the four-case split of mu, gives their constants.  Each
+pair gets the IEEE operations it would get from that split applied to
+every pair, so the constants, and every bound, keep their bits.
 
 The logging entry :func:`gamma_ub` scores each prior on its effective
 support, the entries above LOG_EPS / (2 N^2) for a prior of length N, not
@@ -46,8 +58,8 @@ ZERO_EIG_RTOL = 1e-10
 # spurious nonzero eigenvalue pair.
 RANK_DEFICIENT_RTOL = 1e-12
 # Hypothesis pairs (rows x support x support) per prior-dependent step of
-# gamma_ub.  The step holds about six temporaries of this many doubles,
-# so this caps them near 0.4 MB whatever the block size.
+# gamma_ub.  The step holds at most six arrays of this many doubles at
+# once (measured), so this caps them near 0.4 MB whatever the block size.
 ROW_PAIRS = 1 << 13
 # Smallest tail argument whose exp is computed; below it the tail is 0.
 # numpy's exp slows several-fold from about -708 down, where results
@@ -59,42 +71,64 @@ EXP_FLOOR = -700.0
 LOG_EPS = 1e-16
 
 
+def _set_diagonal(pairs: np.ndarray, value) -> None:
+    """Set the diagonal of a C-contiguous (..., N, N) pair array, in place."""
+    n = pairs.shape[-1]
+    pairs.reshape(*pairs.shape[:-2], n * n)[..., :: n + 1] = value
+
+
 def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     """(lam1, lam2) matrices of all hypothesis pairs; they do not depend on
     the prior.  ``gram_abs2`` (..., N, N) and ``norms_sq`` (..., N) give
     (..., N, N) results, row index the true hypothesis.  The diagonal, a
-    hypothesis against itself, is 0: its difference form vanishes."""
+    hypothesis against itself, is 0: its difference form vanishes.
+
+    Every pair is evaluated densely in four arrays of the result's shape,
+    reused through ``out=``, two of which are returned; the rank-deficient
+    (aligned) pairs, rare off the diagonal unless a sensing matrix has one
+    row, are then patched by index.
+    """
     q = np.asarray(norms_sq, dtype=float)
+    # C order, so that every pair array below is one and patches write
+    # through its flat views
+    gram_abs2 = np.ascontiguousarray(gram_abs2, dtype=float)
     inv = 1.0 / snr
-
     a = snr * snr / (1.0 + snr * q)  # (..., N)
-    uu = q * (q + inv)
-    uv2 = (q + inv)[..., :, None] ** 2 * gram_abs2
-    vv = gram_abs2 + (q * inv)[..., None, :]
-
+    q_inv = q + inv
+    uu = q * q_inv
     pos = (a * uu)[..., :, None]
+    vv = gram_abs2 + (q * inv)[..., None, :]
     neg = a[..., None, :] * vv
-    cross = uu[..., :, None] * vv - uv2
     trace = pos - neg
-    det = -(a[..., :, None] * a[..., None, :]) * np.maximum(cross, 0.0)
-    root = np.sqrt(trace * trace - 4.0 * det)
-    lam1 = 0.5 * (trace + root)
-    lam2 = 0.5 * (trace - root)
+    uv2 = (q_inv**2)[..., :, None] * gram_abs2
+    cross = np.subtract(uu[..., :, None] * vv, uv2, out=uv2)
     # Rank-deficient pairs (aligned directions): the quadratic would turn
     # cancellation noise in cross into spurious sqrt-amplified eigenvalues.
-    # The diagonal always counts as aligned, so it is set apart; off it,
-    # aligned pairs are rare unless a sensing matrix has one row.
-    diag = np.arange(q.shape[-1])
-    aligned = cross <= RANK_DEFICIENT_RTOL * uu[..., :, None] * vv
-    aligned[..., diag, diag] = False
-    if aligned.any():
-        both_zero = aligned & (np.abs(trace) <= ZERO_EIG_RTOL * np.maximum(1.0, np.maximum(pos, neg)))
-        lam1 = np.where(aligned, np.maximum(trace, 0.0), lam1)
-        lam2 = np.where(aligned, np.minimum(trace, 0.0), lam2)
-        lam1 = np.where(both_zero, 0.0, lam1)
-        lam2 = np.where(both_zero, 0.0, lam2)
-    lam1[..., diag, diag] = 0.0
-    lam2[..., diag, diag] = 0.0
+    # Their one eigenvalue is the trace, or 0 where that is within
+    # ZERO_EIG_RTOL of both its terms.  The diagonal always counts as
+    # aligned, so it is set apart.
+    aligned = cross <= np.multiply((RANK_DEFICIENT_RTOL * uu)[..., :, None], vv, out=vv)
+    _set_diagonal(aligned, False)
+    at = np.flatnonzero(aligned) if aligned.any() else None
+    if at is not None:
+        one = trace.reshape(-1)[at]
+        larger = np.maximum(pos.reshape(-1)[at // q.shape[-1]], neg.reshape(-1)[at])
+        one[np.abs(one) <= ZERO_EIG_RTOL * np.maximum(1.0, larger)] = 0.0
+    # root = sqrt(trace^2 - 4 det), with -det = a_k * a_n * max(cross, 0)
+    root = np.multiply(a[..., :, None], a[..., None, :], out=vv)
+    root *= np.maximum(cross, 0.0, out=cross)
+    root *= 4.0
+    root += np.multiply(trace, trace, out=cross)
+    np.sqrt(root, out=root)
+    lam1 = np.add(trace, root, out=neg)
+    lam1 *= 0.5
+    lam2 = np.subtract(trace, root, out=trace)
+    lam2 *= 0.5
+    if at is not None:
+        lam1.reshape(-1)[at] = np.maximum(one, 0.0)
+        lam2.reshape(-1)[at] = np.minimum(one, 0.0)
+    _set_diagonal(lam1, 0.0)
+    _set_diagonal(lam2, 0.0)
     return lam1, lam2
 
 
@@ -172,17 +206,51 @@ def _pair_constants(gram_abs2, norms_sq, snr) -> tuple[np.ndarray, ...]:
     constants.  ``gram_abs2`` (..., N, N) and ``norms_sq`` (..., N) may
     carry leading stack axes.  The diagonal, whose delta is exactly 0, gets
     mu = 0.
+
+    Generic pairs, both eigenvalues nonzero, are evaluated densely: their
+    threshold is 0, ``nl`` the negated eigenvalue and ``ratio`` the
+    eigenvalue over lam2 - lam1, as :func:`_fold` gives them.  The rest,
+    pairs with an eigenvalue within ``ZERO_EIG_RTOL`` of zero (aligned
+    pairs among them), get :func:`_fold`'s constants by index; when they
+    are more than a quarter of the pairs, every pair is folded instead.
     """
     lam1, lam2 = pair_eigs(gram_abs2, norms_sq, snr)
-    logdet = np.log1p(snr * np.asarray(norms_sq, dtype=float))
-    thr, nl_low, nl_high, ratio_low, ratio_high = _fold(lam1, lam2)
     n = lam1.shape[-1]
-    diag = np.arange(n)
-    # Without this the diagonal's mu would be P(0 <= 0) = 1.
-    thr[..., diag, diag] = 0.0
+    nl_low = np.negative(lam2)
+    # With lam1 >= 0 >= lam2, the two tests of _fold in one: the smaller
+    # magnitude exceeds ZERO_EIG_RTOL * max(1, larger magnitude).  A wrong
+    # sign (an underflowed trace^2) fails it there too.
+    scale = np.maximum(lam1, nl_low)
+    np.maximum(scale, 1.0, out=scale)
+    scale *= ZERO_EIG_RTOL
+    generic = np.minimum(lam1, nl_low) > scale
+    _set_diagonal(generic, True)  # its constants are set below
+    patched = generic.size - np.count_nonzero(generic)
+    if 4 * patched > generic.size:
+        # Mostly non-generic pairs, as when most columns are orthogonal to
+        # every beam (codeword subsets of a DFT codebook): folding every
+        # pair costs less than patching most of them.
+        terms = _fold(lam1, lam2)
+    else:
+        if patched:
+            at = np.flatnonzero(~generic)
+            patch = _fold(lam1.reshape(-1)[at], lam2.reshape(-1)[at])
+        gap = np.subtract(lam2, lam1, out=scale)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where set below
+            ratio_high = lam1 / gap
+            ratio_low = np.divide(lam2, gap, out=lam2)
+        nl_high = np.negative(lam1, out=lam1)
+        terms = (np.zeros(nl_high.shape), nl_low, nl_high, ratio_low, ratio_high)
+        if patched:
+            for term, value in zip(terms, patch):
+                term.reshape(-1)[at] = value
+    # _fold's constants for lam1 = lam2 = 0, except the threshold: with
+    # P(0 <= 0) = 1 the diagonal's mu would be 1
+    for term, value in zip(terms, (0.0, np.inf, -np.inf, 0.0, 0.0)):
+        _set_diagonal(term, value)
+    logdet = np.log1p(snr * np.asarray(norms_sq, dtype=float))
     logdet_diff = logdet[..., :, None] - logdet[..., None, :]
-    terms = (logdet_diff, thr, nl_low, nl_high, ratio_low, ratio_high)
-    return tuple(term.reshape(*lam1.shape[:-2], n * n) for term in terms)
+    return tuple(term.reshape(*lam1.shape[:-2], n * n) for term in (logdet_diff, *terms))
 
 
 def _rows_mu(prior: np.ndarray, consts) -> np.ndarray:

@@ -33,9 +33,10 @@ __all__ = [
 # Codeword-subset search is exhaustive up to this many candidates, else greedy.
 MAX_EXHAUSTIVE_CANDIDATES = 1_000_000
 # Hypothesis pairs (batch x support x support) per batched bound-kernel call.
-# The kernel holds about 30 temporaries of this many doubles, so this caps
-# them near 2 MB whatever the swarm size, subset count or prior support; at
-# 1 << 16 they raised the peak RSS of a 64-point beta sweep by 23%.  A
+# A call allocates about 15 arrays of this many doubles and holds at most
+# about ten at once (measured), so this caps them near 0.7 MB whatever the
+# swarm size, subset count or prior support; at 1 << 16 the kernel's
+# temporaries raised the peak RSS of a 64-point beta sweep by 23%.  A
 # 50-particle swarm on an 11-point support still fits in one call.
 BATCH_PAIRS = 1 << 13
 
@@ -119,10 +120,18 @@ def _phase_scores(
     n_tx = columns.shape[0]
     scores = np.empty(len(phases))
     step = _batch_size(len(prior))
+    shape = (min(step, len(phases)), n_tx, phases.shape[1] // n_tx)
+    work = np.empty(shape, dtype=complex)
     for lo in range(0, len(phases), step):
         block = phases[lo : lo + step]
-        beams = np.exp(1j * block.reshape(len(block), n_tx, -1)) / np.sqrt(n_tx)
-        sensing = np.sqrt(n_tx) * np.swapaxes(beams.conj(), 1, 2) @ columns
+        # sqrt(n_tx) * conj(exp(1j * block) / sqrt(n_tx)), in place; dividing
+        # by sqrt(n_tx) and multiplying by its reciprocal give the same bits
+        beams = np.multiply(1j, block.reshape(len(block), *shape[1:]), out=work[: len(block)])
+        np.exp(beams, out=beams)
+        beams *= 1.0 / np.sqrt(n_tx)
+        np.conjugate(beams, out=beams)
+        beams *= np.sqrt(n_tx)
+        sensing = np.swapaxes(beams, 1, 2) @ columns
         scores[lo : lo + step] = _bound_scores(sensing, prior, snr)
     return scores
 
@@ -246,16 +255,21 @@ def optimize_beams(
     history = [global_score]
 
     stall = 0
+    r1, r2, pull = (np.empty_like(positions) for _ in range(3))
     for _ in range(config.max_iters):
-        r1 = rng.uniform(size=(config.swarm_size, dim))
-        r2 = rng.uniform(size=(config.swarm_size, dim))
-        velocities = (
-            config.inertia * velocities
-            + config.cognitive_coeff * r1 * (best_positions - positions)
-            + config.social_coeff * r2 * (global_best[None, :] - positions)
-        )
+        # v = w v + (c1 r1) (pbest - x) + (c2 r2) (gbest - x), in place and
+        # in that order; random(out=) draws the bits of uniform(size=)
+        rng.random(out=r1)
+        rng.random(out=r2)
+        r1 *= config.cognitive_coeff
+        r1 *= np.subtract(best_positions, positions, out=pull)
+        r2 *= config.social_coeff
+        r2 *= np.subtract(global_best, positions, out=pull)
+        velocities *= config.inertia
+        velocities += r1
+        velocities += r2
         np.clip(velocities, -config.velocity_clamp, config.velocity_clamp, out=velocities)
-        positions = positions + velocities
+        positions += velocities
         scores = _phase_scores(positions, columns, probs, snr)
         evaluations += config.swarm_size
 

@@ -1,5 +1,7 @@
 """Bound-kernel entry points: agreement with each other and with oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,19 +15,25 @@ from beamtrack.tracking import BeamMatrix, SensingMatrix, sensing_matrix
 
 def _mu_four_cases(l1, l2, d):
     """Scalar P(l1*E1 + l2*E2 <= d), E_i iid unit exponentials, by the four
-    cases of which eigenvalue is nonzero (reference for the folded mu)."""
+    cases of which eigenvalue is nonzero (reference for the folded mu).  A
+    tail exp(x) with x below ``ref.EXP_FLOOR`` counts as 0, as in the kernel
+    (which moves mu by less than exp(EXP_FLOOR))."""
     l1, l2, d = np.float64(l1), np.float64(l2), np.float64(d)
     tol = ref.ZERO_EIG_RTOL * max(1.0, abs(l1), abs(l2))
     pos, neg = l1 > tol, l2 < -tol
+
+    def tail(x):
+        return np.exp(x) if x >= ref.EXP_FLOOR else 0.0
+
     if pos and neg:
         if d <= 0:
-            value = l2 / (l2 - l1) * np.exp(-d / l2)
+            value = l2 / (l2 - l1) * tail(-d / l2)
         else:
-            value = 1.0 + l1 / (l2 - l1) * np.exp(-d / l1)
+            value = 1.0 + l1 / (l2 - l1) * tail(-d / l1)
     elif pos:
-        value = 1.0 - np.exp(-d / l1) if d > 0 else 0.0
+        value = 1.0 - tail(-d / l1) if d > 0 else 0.0
     elif neg:
-        value = np.exp(-d / l2) if d < 0 else 1.0
+        value = tail(-d / l2) if d < 0 else 1.0
     else:
         value = 1.0 if d >= 0 else 0.0
     return min(max(value, 0.0), 1.0)
@@ -186,6 +194,143 @@ class TestGammaUbBatch:
         for b in range(4):
             expected = _loop_gamma_ub(s[b], prior, snr)
             assert got[b] == pytest.approx(expected, rel=1e-12 * max(1.0, snr))
+
+    @staticmethod
+    def _gram_data(s):
+        norms_sq = np.sum(np.abs(s) ** 2, axis=-2)
+        gram_abs2 = np.abs(np.swapaxes(s.conj(), -1, -2) @ s) ** 2
+        return gram_abs2, norms_sq
+
+    def _mixed_stack(self, rng, m=3, n=9):
+        """Gram data of eight sensing matrices that mix every kind of pair:
+        random columns (generic pairs), a repeated and a scaled column
+        (aligned pairs with no or one nonzero eigenvalue), a column 1e-9 the
+        scale of the rest (far from every beam: its pairs' eigenvalues lie
+        within ZERO_EIG_RTOL of zero) and a zero column."""
+        s = rng.standard_normal((8, m, n)) + 1j * rng.standard_normal((8, m, n))
+        s[4, :, 1] = s[4, :, 0]
+        s[5, :, 2] = 2.0 * s[5, :, 0]
+        s[6, :, 3] *= 1e-9
+        s[7, :, 4] = 0.0
+        return self._gram_data(s)
+
+    def _assert_exact(self, prior, gram_abs2, norms_sq, snr):
+        """The batch's pair mu equals the four-case scalar formula and each
+        item's own call, bit for bit; returns the pair eigenvalues."""
+        mu = ref._rows_mu(prior, ref._pair_constants(gram_abs2, norms_sq, snr))
+        got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+        # the bound weights the row sums by the prior; that last product
+        # goes through BLAS, which may round an item of a longer stack
+        # differently, so the items are compared up to it
+        assert np.array_equal(got, mu.sum(axis=-1) @ prior)
+        lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, snr)
+        log_prior = np.log(prior)
+        logdet = np.log1p(snr * norms_sq)
+        n = len(prior)
+        want = np.zeros(mu.shape)
+        for b in range(len(mu)):
+            for k in range(n):
+                for j in range(n):
+                    if j != k:
+                        delta = (log_prior[j] - log_prior[k]) + (logdet[b, k] - logdet[b, j])
+                        want[b, k, j] = _mu_four_cases(lam1[b, k, j], lam2[b, k, j], delta)
+            one = ref._rows_mu(prior, ref._pair_constants(gram_abs2[b], norms_sq[b], snr))
+            assert np.array_equal(mu[b], one)
+            single = ref.gamma_ub_batch(prior, gram_abs2[b : b + 1], norms_sq[b : b + 1], snr)
+            assert np.array_equal(mu[b].sum(axis=-1), one.sum(axis=-1))
+            assert got[b] == pytest.approx(single[0], rel=4 * np.finfo(float).eps, abs=0.0)
+        assert np.array_equal(mu, want)
+        return lam1, lam2
+
+    @staticmethod
+    def _folded(monkeypatch, gram_abs2, norms_sq, snr):
+        """Shapes of the eigenvalue arrays that one stack's constants pass
+        to _fold: 1-D when non-generic pairs are patched by index, the
+        stack's shape when every pair is folded."""
+        shapes = []
+        fold = ref._fold
+        with monkeypatch.context() as patch:
+            patch.setattr(ref, "_fold", lambda *lam: shapes.append(lam[0].shape) or fold(*lam))
+            ref._pair_constants(gram_abs2, norms_sq, snr)
+        return shapes
+
+    @staticmethod
+    def _cases(lam1, lam2):
+        """Counts of off-diagonal pairs with both, only the positive, only
+        the negative and no nonzero eigenvalue."""
+        tol = ref.ZERO_EIG_RTOL * np.maximum(1.0, np.maximum(abs(lam1), abs(lam2)))
+        pos1, neg2 = lam1 > tol, lam2 < -tol
+        off = ~np.eye(lam1.shape[-1], dtype=bool)
+        cases = (pos1 & neg2, pos1 & ~neg2, ~pos1 & neg2, ~pos1 & ~neg2)
+        return [int((case & off).sum()) for case in cases]
+
+    @pytest.mark.parametrize("snr", [1e-3, 10.0, 1e6])
+    def test_every_mu_case(self, snr, monkeypatch):
+        # one stack holds all four cases; its few non-generic pairs are
+        # patched by index, and every pair equals the scalar formula, also
+        # against prior entries down to 1e-300
+        rng = np.random.default_rng(21)
+        gram_abs2, norms_sq = self._mixed_stack(rng)
+        prior = 10.0 ** rng.uniform(-300.0, 0.0, 9)
+        prior[[2, 5]] = [1e-300, 1.0]
+        prior /= prior.sum()
+        lam1, lam2 = self._assert_exact(prior, gram_abs2, norms_sq, snr)
+        # aligned pairs: a repeated column leaves no nonzero eigenvalue, a
+        # scaled one exactly one
+        assert lam1[4, 0, 1] == lam2[4, 0, 1] == 0.0
+        assert (lam1[5, 0, 2] == 0.0) != (lam2[5, 0, 2] == 0.0)
+        cases = self._cases(lam1, lam2)
+        assert all(count > 0 for count in cases)
+        assert sum(cases[1:]) < lam1.size // 4
+        assert self._folded(monkeypatch, gram_abs2, norms_sq, snr) == [(sum(cases[1:]),)]
+
+    @pytest.mark.parametrize("n,n_tx,sigma,patched", [(16, 4, 2, True), (64, 32, 5, False)])
+    def test_directional_rows(self, n, n_tx, sigma, patched, monkeypatch):
+        # sensing rows of codeword subsets, as the directional search scores
+        # them: on a 16-point grid some pairs are non-generic and patched by
+        # index; at the Fig. 2 size most support columns are orthogonal to
+        # both codewords, most pairs are non-generic, and every pair is
+        # folded instead
+        cb = build_codebook(build_grid(n), n_tx)
+        prior = build_markov(n, 0.5, sigma).transition[0]
+        idx = np.flatnonzero(prior)
+        rows = np.sqrt(n_tx) * (cb.matrix.conj().T @ cb.matrix)[:, idx]
+        subsets = np.array(list(combinations(range(n), 2))[:40])
+        gram_abs2, norms_sq = self._gram_data(rows[subsets])
+        for snr in (0.1, 100.0, 1e4):
+            lam1, lam2 = self._assert_exact(prior[idx], gram_abs2, norms_sq, snr)
+            non_generic = sum(self._cases(lam1, lam2)[1:])
+            assert 0 < non_generic and (non_generic < lam1.size // 4) == patched
+            shape = (non_generic,) if patched else lam1.shape
+            assert self._folded(monkeypatch, gram_abs2, norms_sq, snr) == [shape]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        b=st.integers(1, 4),
+        m=st.integers(1, 3),
+        n=st.integers(2, 7),
+        log_snr=st.floats(-3.0, 6.0),
+        kinds=st.lists(st.sampled_from(["repeat", "scale", "far", "zero"]), max_size=3),
+        log_floor=st.floats(-300.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_on_random_stacks(self, b, m, n, log_snr, kinds, log_floor, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((b, m, n)) + 1j * rng.standard_normal((b, m, n))
+        for kind in kinds:
+            item, col, other = rng.integers(b), rng.integers(n), rng.integers(n)
+            if kind == "repeat":
+                s[item, :, col] = s[item, :, other]
+            elif kind == "scale":
+                s[item, :, col] = rng.uniform(0.5, 3.0) * s[item, :, other]
+            elif kind == "far":
+                s[item, :, col] *= 1e-9
+            else:
+                s[item, :, col] = 0.0
+        gram_abs2, norms_sq = self._gram_data(s)
+        prior = 10.0 ** rng.uniform(log_floor, 0.0, n)
+        prior /= prior.sum()
+        self._assert_exact(prior, gram_abs2, norms_sq, 10.0**log_snr)
 
 
 class TestGammaUbRows:
