@@ -25,12 +25,12 @@ The prior-independent pass is dense and reuses its buffers: the
 eigenvalues of every pair are computed in a few arrays of the pair shape,
 written through ``out=``, and so are the constants of the generic pairs,
 those with both eigenvalues nonzero.  The rest, rank-deficient (aligned)
-pairs and pairs with an eigenvalue within ZERO_EIG_RTOL of zero, are few
-in a swarm's stack and are patched by index; where they are more than a
-quarter of the pairs, every pair is folded instead.  :func:`_fold`, the
-one statement of the four-case split of mu, gives their constants.  Each
-pair gets the IEEE operations it would get from that split applied to
-every pair, so the constants, and every bound, keep their bits.
+pairs and pairs with an eigenvalue within ZERO_EIG_RTOL of zero, are
+patched by index, with the constants that :func:`_fold`, the one
+statement of the four-case split of mu, gives them; they are few in a
+swarm's stack.  Each pair gets the IEEE operations it would get from that
+split applied to every pair, so the constants, and every bound, keep
+their bits.
 
 The logging entry :func:`gamma_ub` scores each prior on its effective
 support, the entries above LOG_EPS / (2 N^2) for a prior of length N, not
@@ -71,10 +71,16 @@ EXP_FLOOR = -700.0
 LOG_EPS = 1e-16
 
 
-def _set_diagonal(pairs: np.ndarray, value) -> None:
-    """Set the diagonal of a C-contiguous (..., N, N) pair array, in place."""
-    n = pairs.shape[-1]
-    pairs.reshape(*pairs.shape[:-2], n * n)[..., :: n + 1] = value
+def _flat(pairs: np.ndarray) -> np.ndarray:
+    """Flat view of a C-contiguous pair array, to write pairs by flat index.
+
+    Every pair array of this module is allocated in C order, where
+    ``reshape(-1)`` is a view; on any other layout it would be a copy, and
+    the writes would be lost.
+    """
+    if not pairs.flags.c_contiguous:
+        raise ValueError("pair arrays are written by flat index in C order")
+    return pairs.reshape(-1)
 
 
 def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
@@ -89,18 +95,18 @@ def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     row, are then patched by index.
     """
     q = np.asarray(norms_sq, dtype=float)
-    # C order, so that every pair array below is one and patches write
-    # through its flat views
-    gram_abs2 = np.ascontiguousarray(gram_abs2, dtype=float)
+    diag = np.arange(q.shape[-1])
     inv = 1.0 / snr
     a = snr * snr / (1.0 + snr * q)  # (..., N)
     q_inv = q + inv
     uu = q * q_inv
     pos = (a * uu)[..., :, None]
-    vv = gram_abs2 + (q * inv)[..., None, :]
+    # C order whatever the Gram's layout; the arrays computed from these
+    # two, and their buffers, keep it
+    vv = np.add(gram_abs2, (q * inv)[..., None, :], order="C")
     neg = a[..., None, :] * vv
     trace = pos - neg
-    uv2 = (q_inv**2)[..., :, None] * gram_abs2
+    uv2 = np.multiply((q_inv**2)[..., :, None], gram_abs2, order="C")
     cross = np.subtract(uu[..., :, None] * vv, uv2, out=uv2)
     # Rank-deficient pairs (aligned directions): the quadratic would turn
     # cancellation noise in cross into spurious sqrt-amplified eigenvalues.
@@ -108,11 +114,11 @@ def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     # ZERO_EIG_RTOL of both its terms.  The diagonal always counts as
     # aligned, so it is set apart.
     aligned = cross <= np.multiply((RANK_DEFICIENT_RTOL * uu)[..., :, None], vv, out=vv)
-    _set_diagonal(aligned, False)
+    aligned[..., diag, diag] = False
     at = np.flatnonzero(aligned) if aligned.any() else None
     if at is not None:
-        one = trace.reshape(-1)[at]
-        larger = np.maximum(pos.reshape(-1)[at // q.shape[-1]], neg.reshape(-1)[at])
+        one = np.take(trace, at)
+        larger = np.maximum(np.take(pos, at // len(diag)), np.take(neg, at))
         one[np.abs(one) <= ZERO_EIG_RTOL * np.maximum(1.0, larger)] = 0.0
     # root = sqrt(trace^2 - 4 det), with -det = a_k * a_n * max(cross, 0)
     root = np.multiply(a[..., :, None], a[..., None, :], out=vv)
@@ -125,10 +131,10 @@ def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     lam2 = np.subtract(trace, root, out=trace)
     lam2 *= 0.5
     if at is not None:
-        lam1.reshape(-1)[at] = np.maximum(one, 0.0)
-        lam2.reshape(-1)[at] = np.minimum(one, 0.0)
-    _set_diagonal(lam1, 0.0)
-    _set_diagonal(lam2, 0.0)
+        _flat(lam1)[at] = np.maximum(one, 0.0)
+        _flat(lam2)[at] = np.minimum(one, 0.0)
+    lam1[..., diag, diag] = 0.0
+    lam2[..., diag, diag] = 0.0
     return lam1, lam2
 
 
@@ -211,11 +217,11 @@ def _pair_constants(gram_abs2, norms_sq, snr) -> tuple[np.ndarray, ...]:
     threshold is 0, ``nl`` the negated eigenvalue and ``ratio`` the
     eigenvalue over lam2 - lam1, as :func:`_fold` gives them.  The rest,
     pairs with an eigenvalue within ``ZERO_EIG_RTOL`` of zero (aligned
-    pairs among them), get :func:`_fold`'s constants by index; when they
-    are more than a quarter of the pairs, every pair is folded instead.
+    pairs among them), get :func:`_fold`'s constants by index.
     """
     lam1, lam2 = pair_eigs(gram_abs2, norms_sq, snr)
     n = lam1.shape[-1]
+    diag = np.arange(n)
     nl_low = np.negative(lam2)
     # With lam1 >= 0 >= lam2, the two tests of _fold in one: the smaller
     # magnitude exceeds ZERO_EIG_RTOL * max(1, larger magnitude).  A wrong
@@ -224,30 +230,21 @@ def _pair_constants(gram_abs2, norms_sq, snr) -> tuple[np.ndarray, ...]:
     np.maximum(scale, 1.0, out=scale)
     scale *= ZERO_EIG_RTOL
     generic = np.minimum(lam1, nl_low) > scale
-    _set_diagonal(generic, True)  # its constants are set below
-    patched = generic.size - np.count_nonzero(generic)
-    if 4 * patched > generic.size:
-        # Mostly non-generic pairs, as when most columns are orthogonal to
-        # every beam (codeword subsets of a DFT codebook): folding every
-        # pair costs less than patching most of them.
-        terms = _fold(lam1, lam2)
-    else:
-        if patched:
-            at = np.flatnonzero(~generic)
-            patch = _fold(lam1.reshape(-1)[at], lam2.reshape(-1)[at])
-        gap = np.subtract(lam2, lam1, out=scale)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where set below
-            ratio_high = lam1 / gap
-            ratio_low = np.divide(lam2, gap, out=lam2)
-        nl_high = np.negative(lam1, out=lam1)
-        terms = (np.zeros(nl_high.shape), nl_low, nl_high, ratio_low, ratio_high)
-        if patched:
-            for term, value in zip(terms, patch):
-                term.reshape(-1)[at] = value
-    # _fold's constants for lam1 = lam2 = 0, except the threshold: with
-    # P(0 <= 0) = 1 the diagonal's mu would be 1
-    for term, value in zip(terms, (0.0, np.inf, -np.inf, 0.0, 0.0)):
-        _set_diagonal(term, value)
+    generic[..., diag, diag] = True  # its constants are set below
+    at = np.flatnonzero(~generic)
+    patch = _fold(np.take(lam1, at), np.take(lam2, at)) if len(at) else ()
+    gap = np.subtract(lam2, lam1, out=scale)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where set below
+        ratio_high = lam1 / gap
+        ratio_low = np.divide(lam2, gap, out=lam2)
+    nl_high = np.negative(lam1, out=lam1)
+    terms = (np.zeros(nl_high.shape), nl_low, nl_high, ratio_low, ratio_high)
+    for term, value in zip(terms, patch):
+        _flat(term)[at] = value
+    # _fold's constants for lam1 = lam2 = 0, except the threshold, which
+    # stays 0: with P(0 <= 0) = 1 the diagonal's mu would be 1
+    for term, value in zip(terms[1:], (np.inf, -np.inf, 0.0, 0.0)):
+        term[..., diag, diag] = value
     logdet = np.log1p(snr * np.asarray(norms_sq, dtype=float))
     logdet_diff = logdet[..., :, None] - logdet[..., None, :]
     return tuple(term.reshape(*lam1.shape[:-2], n * n) for term in (logdet_diff, *terms))

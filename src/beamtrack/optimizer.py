@@ -34,10 +34,11 @@ __all__ = [
 MAX_EXHAUSTIVE_CANDIDATES = 1_000_000
 # Hypothesis pairs (batch x support x support) per batched bound-kernel call.
 # A call allocates about 15 arrays of this many doubles and holds at most
-# about ten at once (measured), so this caps them near 0.7 MB whatever the
-# swarm size, subset count or prior support; at 1 << 16 the kernel's
-# temporaries raised the peak RSS of a 64-point beta sweep by 23%.  A
-# 50-particle swarm on an 11-point support still fits in one call.
+# about ten at once on a swarm's stack, 12.5 on codeword subsets, whose
+# non-generic pairs are patched (measured), so this caps them near 0.8 MB
+# whatever the swarm size, subset count or prior support; at 1 << 16 the
+# kernel's temporaries raised the peak RSS of a 64-point beta sweep by 23%.
+# A 50-particle swarm on an 11-point support still fits in one call.
 BATCH_PAIRS = 1 << 13
 
 
