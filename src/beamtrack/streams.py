@@ -52,31 +52,27 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
-def _key_words(head: int, frames: np.ndarray, tail: tuple[int, ...]):
-    """(F, W) uint32 words and (F,) word counts of the keys
-    ``[head, frame, *tail]``.  A frame >= 2**32 takes two words, which
-    shifts the tail; columns past a row's count are 0."""
+def _key_words(head: int, frames: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
+    """(F, W) uint32 words of the keys ``[head, frame, *tail]``, one row per
+    frame.  Each frame is one word, so every row has the same words."""
+    if len(frames) and frames.max() > _MASK32:
+        raise ValueError(f"stream frames must be < 2**32, got {int(frames.max())}")
     pre = _int_words(head)
     post = [w for t in tail for w in _int_words(t)]
-    wide = frames > _MASK32
-    p = len(pre)
-    words = np.zeros((len(frames), p + 2 + len(post)), dtype=np.uint32)
-    words[:, :p] = pre
-    words[:, p] = frames & _MASK32
-    words[:, p + 1] = frames >> 32
-    cols = p + 1 + wide[:, None] + np.arange(len(post))
-    words[np.arange(len(frames))[:, None], cols] = post
-    return words, p + 1 + len(post) + wide
+    words = np.empty((len(frames), len(pre) + 1 + len(post)), dtype=np.uint32)
+    words[:, : len(pre)] = pre
+    words[:, len(pre)] = frames
+    words[:, len(pre) + 1 :] = post
+    return words
 
 
-def _stream_states(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _stream_states(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(key).generate_state(4, np.uint64)`` of each row's key,
     as (F, 4) uint64.
 
     SeedSequence's running hash constant does not depend on the key, so
     every row advances it alike and one column operation serves all rows.
-    Rows with fewer than four words hash zeros in their place, as the zero
-    columns do; words past a row's count leave its pool as it is.
+    Keys of fewer than four words hash zeros in their place.
     """
     hash_const = _INIT_A
 
@@ -99,9 +95,8 @@ def _stream_states(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for src in range(_POOL_SIZE, width):
-        live = counts > src
         for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(words[:, src])), pool[dst])
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
 
     hash_const = _INIT_B
     state = np.empty((len(words), 2 * _POOL_SIZE), dtype=np.uint32)
@@ -117,5 +112,5 @@ def generators(head: int, frames, *tail: int) -> list[Generator]:
     """``np.random.default_rng([head, frame, *tail])`` for each frame, equal
     bit for bit, with the key hashing done once for all frames."""
     frames = np.asarray(frames, dtype=np.uint64)
-    states = _stream_states(*_key_words(head, frames, tail))
+    states = _stream_states(_key_words(head, frames, tail))
     return [Generator(PCG64(_Seeded(state))) for state in states]

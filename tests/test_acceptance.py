@@ -13,7 +13,6 @@ import pytest
 from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import main as cli_main
 from beamtrack.harness import ExperimentConfig, run_experiment, sweep
-from beamtrack.kernels import ref
 from beamtrack.tracking import (
     BeamMatrix,
     PilotObservation,
@@ -21,6 +20,7 @@ from beamtrack.tracking import (
     log_likelihood_scores,
     sensing_matrix,
 )
+from oracles import folded_mu, log_likelihoods, rank_two
 
 N_TTIS = 9  # tracked periods per frame with the default p_ttis = 10
 
@@ -32,11 +32,6 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> bool:
         line += f" ({detail})"
     print(line)
     return ok
-
-
-def _covariance(s: np.ndarray, snr: float) -> np.ndarray:
-    """Dense s s^H + I/snr, the pilot covariance under hypothesis s."""
-    return np.outer(s, s.conj()) + np.eye(len(s)) / snr
 
 
 def _frame_errors(trials: np.ndarray, n_frames: int) -> np.ndarray:
@@ -71,8 +66,7 @@ class TestAcceptance:
         for _ in range(25):  # degenerate zero form
             triples.append((0.0, 0.0, rng.uniform(-3, 3)))
         # the bound kernel's own folded mu at each (lam1, lam2, delta)
-        lam1, lam2, delta = np.array(triples).T
-        mu = ref._mu(delta, *ref._fold(lam1, lam2))
+        mu = folded_mu(*np.array(triples).T)
         worst = 0.0
         for (l1, l2, d), closed in zip(triples, mu):
             emp = float(np.mean(l1 * draws[0] + l2 * draws[1] <= d))
@@ -95,18 +89,7 @@ class TestAcceptance:
             s = sensing_matrix(beams, cb).matrix
             k, n = rng.choice(64, size=2, replace=False)
             snr = 10.0 ** rng.uniform(-1, 2.5)
-            diff = np.linalg.inv(_covariance(s[:, n], snr)) - np.linalg.inv(
-                _covariance(s[:, k], snr)
-            )
-            ev = np.linalg.eigvalsh(diff)
-            thresh = 1e-8 * max(np.abs(ev).max(), 1e-300)
-            significant = ev[np.abs(ev) > thresh]
-            if (
-                len(significant) > 2
-                or np.sum(significant > 0) > 1
-                or np.sum(significant < 0) > 1
-            ):
-                violations += 1
+            violations += not rank_two(s[:, k], s[:, n], snr)
         ok = violations == 0
         assert _report(
             2,
@@ -259,11 +242,8 @@ class TestAcceptance:
             got = log_likelihood_scores(
                 PilotObservation(y=y, snr=snr), SensingMatrix(matrix=s)
             )
-            for k in range(8):
-                sigma = _covariance(s[:, k], snr)
-                quad = float((y.conj() @ np.linalg.inv(sigma) @ y).real)
-                dense = -quad - np.linalg.slogdet(sigma)[1] - m * np.log(snr)
-                worst = max(worst, abs(got[k] - dense) / abs(dense))
+            dense = log_likelihoods(y, s, snr)
+            worst = max(worst, float(np.max(np.abs(got - dense) / np.abs(dense))))
         ok = worst <= 1e-9
         assert _report(
             8,

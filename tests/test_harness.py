@@ -107,8 +107,8 @@ class TestConfig:
 
 class TestStreams:
     """Streams seeded for a whole block equal ``np.random.default_rng(key)``
-    bit for bit, whatever the key words: 0, 2**32 - 1, and seeds or frames
-    of two or more words."""
+    bit for bit, whatever the key words: 0, 2**32 - 1, and seeds or periods
+    of two or more words.  A frame is one word."""
 
     KEY = st.one_of(
         st.sampled_from([0, 1, 2**32 - 1, 2**32]),
@@ -116,7 +116,7 @@ class TestStreams:
         st.integers(2**32, 2**80),
     )
     FRAMES = st.lists(
-        st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**40)),
+        st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
         min_size=1,
         max_size=5,
     )
@@ -129,6 +129,10 @@ class TestStreams:
         for row, frame in zip(got, frames):
             want = np.random.default_rng([seed, frame, tti, 1]).standard_normal(7)
             assert np.array_equal(row, want)
+
+    def test_two_word_frame_rejected(self):
+        with pytest.raises(ValueError, match="frames must be < 2\\*\\*32"):
+            harness._noise_normals(_config(), [0, 2**32], 2, 7)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(seed=KEY, frames=FRAMES)

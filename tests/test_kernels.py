@@ -1,4 +1,5 @@
-"""Bound-kernel entry points: agreement with each other and with oracles."""
+"""Bound-kernel entry points: agreement with each other, with the dense
+numpy loop over pairs and with the 60-digit mpmath bound of ``oracles``."""
 
 from itertools import combinations
 
@@ -10,59 +11,23 @@ from hypothesis import strategies as st
 from beamtrack import kernels
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.kernels import ref
-from beamtrack.tracking import BeamMatrix, SensingMatrix, sensing_matrix
-
-
-def _mu_four_cases(l1, l2, d):
-    """Scalar P(l1*E1 + l2*E2 <= d), E_i iid unit exponentials, by the four
-    cases of which eigenvalue is nonzero (reference for the folded mu).  A
-    tail exp(x) with x below ``ref.EXP_FLOOR`` counts as 0, as in the kernel
-    (which moves mu by less than exp(EXP_FLOOR))."""
-    l1, l2, d = np.float64(l1), np.float64(l2), np.float64(d)
-    tol = ref.ZERO_EIG_RTOL * max(1.0, abs(l1), abs(l2))
-    pos, neg = l1 > tol, l2 < -tol
-
-    def tail(x):
-        return np.exp(x) if x >= ref.EXP_FLOOR else 0.0
-
-    if pos and neg:
-        if d <= 0:
-            value = l2 / (l2 - l1) * tail(-d / l2)
-        else:
-            value = 1.0 + l1 / (l2 - l1) * tail(-d / l1)
-    elif pos:
-        value = 1.0 - tail(-d / l1) if d > 0 else 0.0
-    elif neg:
-        value = tail(-d / l2) if d < 0 else 1.0
-    else:
-        value = 1.0 if d >= 0 else 0.0
-    return min(max(value, 0.0), 1.0)
-
-
-def _folded_mu(lam1, lam2, delta):
-    """The kernel's folded mu at given eigenvalues and thresholds."""
-    lam1, lam2, delta = (np.asarray(x, dtype=float) for x in (lam1, lam2, delta))
-    return ref._mu(delta, *ref._fold(lam1, lam2))
-
-
-def _covariance(s, snr):
-    return np.outer(s, s.conj()) + np.eye(len(s)) / snr
+from beamtrack.tracking import BeamMatrix, sensing_matrix
+from oracles import (
+    folded_mu,
+    gram_data,
+    loop_gamma_ub,
+    mp_gamma_ub,
+    mp_gram_gamma_ub,
+    mu_four_cases,
+    pair_mu,
+)
 
 
 def _random_problem(rng, m, n):
     s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     prior = rng.random(n)
     prior /= prior.sum()
-    norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-    gram_abs2 = np.abs(s.conj().T @ s) ** 2
-    return s, prior, norms_sq, gram_abs2
-
-
-def _gram_data(s):
-    """(gram_abs2, norms_sq) of a (..., M, N) stack of sensing matrices."""
-    norms_sq = np.sum(np.abs(s) ** 2, axis=-2)
-    gram_abs2 = np.abs(np.swapaxes(s.conj(), -1, -2) @ s) ** 2
-    return gram_abs2, norms_sq
+    return s, prior, *gram_data(s)
 
 
 def _assert_batch_exact(prior, gram_abs2, norms_sq, snr):
@@ -75,44 +40,14 @@ def _assert_batch_exact(prior, gram_abs2, norms_sq, snr):
     # so the items are compared up to it
     assert np.array_equal(got, mu.sum(axis=-1) @ prior)
     lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, snr)
-    log_prior = np.log(prior)
     logdet = np.log1p(snr * norms_sq)
-    n = len(prior)
-    want = np.zeros(mu.shape)
     for b in range(len(mu)):
-        for k in range(n):
-            for j in range(n):
-                if j != k:
-                    delta = (log_prior[j] - log_prior[k]) + (logdet[b, k] - logdet[b, j])
-                    want[b, k, j] = _mu_four_cases(lam1[b, k, j], lam2[b, k, j], delta)
+        assert np.array_equal(mu[b], pair_mu(prior, lam1[b], lam2[b], logdet[b])[0])
         one = ref._rows_mu(prior, ref._pair_constants(gram_abs2[b], norms_sq[b], snr))
         assert np.array_equal(mu[b], one)
         single = ref.gamma_ub_batch(prior, gram_abs2[b : b + 1], norms_sq[b : b + 1], snr)
         assert got[b] == pytest.approx(single[0], rel=4 * np.finfo(float).eps, abs=0.0)
-    assert np.array_equal(mu, want)
     return lam1, lam2
-
-
-def _loop_gamma_ub(s, prior, snr):
-    """Slow dense-linear-algebra evaluation of the union bound (oracle)."""
-    n = s.shape[1]
-    total = 0.0
-    for k in range(n):
-        if prior[k] == 0:
-            continue
-        for j in range(n):
-            if j == k or prior[j] == 0:
-                continue
-            sig_k, sig_j = _covariance(s[:, k], snr), _covariance(s[:, j], snr)
-            diff = np.linalg.inv(sig_j) - np.linalg.inv(sig_k)
-            w, u = np.linalg.eigh(sig_k)
-            half = np.diag(np.sqrt(w))
-            ev = np.linalg.eigvalsh(half @ u.conj().T @ diff @ u @ half)
-            delta = np.log(prior[j] / prior[k]) + (
-                np.linalg.slogdet(sig_k)[1] - np.linalg.slogdet(sig_j)[1]
-            )
-            total += prior[k] * _mu_four_cases(max(ev.max(), 0), min(ev.min(), 0), delta)
-    return total
 
 
 class TestKernelAgreement:
@@ -124,7 +59,7 @@ class TestKernelAgreement:
         rng = np.random.default_rng(n)
         problems = [_random_problem(rng, m, n) for _ in range(20)]
         snrs = 10.0 ** rng.uniform(-1, 3, size=len(problems))
-        for (_, prior, norms_sq, gram_abs2), snr in zip(problems, snrs):
+        for (_, prior, gram_abs2, norms_sq), snr in zip(problems, snrs):
             a = kernels.gamma_ub(prior, gram_abs2, norms_sq, snr)
             block = np.vstack([prior, prior[::-1]])
             rows = kernels.gamma_ub(block, gram_abs2, norms_sq, snr)
@@ -134,7 +69,7 @@ class TestKernelAgreement:
 
     def test_impls_agree_sparse_prior(self):
         rng = np.random.default_rng(7)
-        _, prior, norms_sq, gram_abs2 = _random_problem(rng, 2, 32)
+        _, prior, gram_abs2, norms_sq = _random_problem(rng, 2, 32)
         prior[5:] = 0.0
         prior /= prior.sum()
         a = kernels.gamma_ub(prior, gram_abs2, norms_sq, 25.0)
@@ -149,11 +84,22 @@ class TestKernelAgreement:
     def test_matches_dense_oracle(self, m):
         rng = np.random.default_rng(m)
         for _ in range(5):
-            s, prior, norms_sq, gram_abs2 = _random_problem(rng, m, 6)
+            s, prior, gram_abs2, norms_sq = _random_problem(rng, m, 6)
             snr = 10.0 ** rng.uniform(0, 2)
-            expected = _loop_gamma_ub(s, prior, snr)
+            expected = loop_gamma_ub(s, prior, snr)
             got = kernels.gamma_ub(prior, gram_abs2, norms_sq, snr)
             assert got == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_kernel_table_shapes(self, m):
+        # perfbench's kernel table at (M, N) = (m, 64), SNR 10, its priors and
+        # its 1e-9 relative tolerance; (8, 256) is too slow for the loop
+        rng = np.random.default_rng(m)
+        s, full, gram_abs2, norms_sq = _random_problem(rng, m, 64)
+        for prior in (full, build_markov(64, 0.2, 5).transition[int(rng.integers(64))]):
+            got = kernels.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
+            want = loop_gamma_ub(s, prior, 10.0)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_folded_mu_matches_scalar(self):
         # the vectorized folded formula against the scalar four-case one,
@@ -165,9 +111,9 @@ class TestKernelAgreement:
         lam2[::7] = 0.0
         delta = rng.uniform(-5, 5, size=200)
         delta[::11] = 0.0
-        vec = _folded_mu(lam1, lam2, delta)
+        vec = folded_mu(lam1, lam2, delta)
         for i in range(200):
-            assert vec[i] == pytest.approx(_mu_four_cases(lam1[i], lam2[i], delta[i]), abs=1e-14)
+            assert vec[i] == pytest.approx(mu_four_cases(lam1[i], lam2[i], delta[i]), abs=1e-14)
 
 
 class TestGammaUbBatch:
@@ -178,15 +124,13 @@ class TestGammaUbBatch:
         all of its column pairs are aligned (the rank-deficient branch)."""
         s = rng.standard_normal((b, m, n)) + 1j * rng.standard_normal((b, m, n))
         s[0, 1] = s[0, 0]
-        norms_sq = np.sum(np.abs(s) ** 2, axis=-2)
-        gram_abs2 = np.abs(np.swapaxes(s.conj(), -1, -2) @ s) ** 2
-        return s, norms_sq, gram_abs2
+        return s, *gram_data(s)
 
     @pytest.mark.parametrize("snr", SNRS)
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_per_item(self, m, snr):
         rng = np.random.default_rng(m)
-        _, norms_sq, gram_abs2 = self._batch(rng, m, 12)
+        _, gram_abs2, norms_sq = self._batch(rng, m, 12)
         prior = rng.random(12)
         prior /= prior.sum()
         got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
@@ -200,7 +144,7 @@ class TestGammaUbBatch:
         # zeros kept in the batch or cut away by restricting to the support
         # give the per-item bound on the full prior
         rng = np.random.default_rng(3)
-        _, norms_sq, gram_abs2 = self._batch(rng, 2, 10)
+        _, gram_abs2, norms_sq = self._batch(rng, 2, 10)
         prior = rng.random(10)
         prior[[0, 4, 5]] = 0.0
         prior[7] = 1e-300
@@ -221,13 +165,13 @@ class TestGammaUbBatch:
         # The closed form's Cauchy-Schwarz gap cancels like snr * eps, so the
         # tolerance grows with the SNR (measured: 3e-14 at 10, 3e-8 at 1e6).
         rng = np.random.default_rng(10 + m)
-        s, norms_sq, gram_abs2 = self._batch(rng, m, 6)
+        s, gram_abs2, norms_sq = self._batch(rng, m, 6)
         prior = rng.random(6)
         prior[2] = 0.0
         prior /= prior.sum()
         got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
         for b in range(4):
-            expected = _loop_gamma_ub(s[b], prior, snr)
+            expected = loop_gamma_ub(s[b], prior, snr)
             assert got[b] == pytest.approx(expected, rel=1e-12 * max(1.0, snr))
 
     @pytest.mark.parametrize("n,n_tx,sigma", [(16, 4, 2), (64, 32, 5)])
@@ -241,7 +185,7 @@ class TestGammaUbBatch:
         idx = np.flatnonzero(prior)
         rows = np.sqrt(n_tx) * (cb.matrix.conj().T @ cb.matrix)[:, idx]
         subsets = np.array(list(combinations(range(n), 2))[:40])
-        gram_abs2, norms_sq = _gram_data(rows[subsets])
+        gram_abs2, norms_sq = gram_data(rows[subsets])
         for snr in (0.1, 100.0, 1e4):
             lam1, lam2 = _assert_batch_exact(prior[idx], gram_abs2, norms_sq, snr)
             _, nl_low, nl_high, _, _ = ref._fold(lam1, lam2)
@@ -271,7 +215,7 @@ class TestGammaUbBatch:
                 s[item, :, col] *= 1e-9
             else:
                 s[item, :, col] = 0.0
-        gram_abs2, norms_sq = _gram_data(s)
+        gram_abs2, norms_sq = gram_data(s)
         prior = 10.0 ** rng.uniform(log_floor, 0.0, n)
         prior /= prior.sum()
         _assert_batch_exact(prior, gram_abs2, norms_sq, 10.0**log_snr)
@@ -284,8 +228,7 @@ class TestGammaUbRows:
     def _block(self, rng, m, n, f=9):
         s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         s[1] = s[0] if m == 2 else s[1]
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         prior = rng.random((f, n))
         prior[0, n // 2 :] = 0.0  # contiguous window
         prior[1, ::3] = 0.0  # scattered zeros
@@ -316,8 +259,7 @@ class TestGammaUbRows:
         s = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         if aligned:
             s[1] = s[0]
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         transition = build_markov(n, 0.2, 5).transition
         arcs = transition[[0, 3, 31, 60, 63]]  # 11-point arcs, two wrapping
         wide = arcs @ transition @ transition  # 31-point arcs
@@ -374,8 +316,7 @@ class TestGammaUbRows:
         s = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
         s[:, 1] = 2.0 * s[:, 0]
         s[:, 2] = s[:, 0]
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, 10.0)
         tol = ref.ZERO_EIG_RTOL * np.maximum(1.0, np.maximum(abs(lam1), abs(lam2)))
         pos1, neg2 = lam1 > tol, lam2 < -tol
@@ -394,14 +335,9 @@ class TestGammaUbRows:
             idx = np.flatnonzero(row > 0)
             pairs = (idx[:, None] * 8 + idx).ravel()
             got = ref._rows_mu(row[idx][None], [term[pairs] for term in consts])[0]
-            log_prior = np.log(row[idx])
-            want = np.zeros((len(idx), len(idx)))
-            for a, k in enumerate(idx):
-                for b, n in enumerate(idx):
-                    if k != n:
-                        delta = (log_prior[b] - log_prior[a]) + (logdet[k] - logdet[n])
-                        ties += delta == 0.0
-                        want[a, b] = _mu_four_cases(lam1[k, n], lam2[k, n], delta)
+            sub = np.ix_(idx, idx)
+            want, delta = pair_mu(row[idx], lam1[sub], lam2[sub], logdet[idx])
+            ties += np.sum(delta[~np.eye(len(idx), dtype=bool)] == 0.0)
             assert np.array_equal(got, want)
         assert ties > 0
         got = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
@@ -417,7 +353,7 @@ class TestGammaUbRows:
         prior[[2, 5]] = [1e-300, 1.0]
         prior /= prior.sum()
         for snr in (1e-3, 10.0, 1e6):
-            _assert_batch_exact(prior, *_gram_data(stack), snr)
+            _assert_batch_exact(prior, *gram_data(stack), snr)
 
     def test_stacked_constants_match_per_gram(self):
         # constants folded over a stack of Grams equal each Gram's own, with
@@ -428,7 +364,7 @@ class TestGammaUbRows:
         s[1, :, 2] = 2.0 * s[1, :, 0]
         s[2, :, 3] *= 1e-9
         s[3, :, 4] = 0.0
-        gram_abs2, norms_sq = _gram_data(s)
+        gram_abs2, norms_sq = gram_data(s)
         for snr in (1e-3, 10.0, 1e6):
             stacked = ref._pair_constants(gram_abs2, norms_sq, snr)
             assert [term.shape for term in stacked] == [(5, 81)] * 6
@@ -511,8 +447,7 @@ class TestEffectiveSupport:
             scale = rng.uniform(0.5, 2.0, size=n // 2)
             noise = rng.standard_normal((m, n // 2)) + 1j * rng.standard_normal((m, n // 2))
             s[:, n - n // 2 :] = scale * s[:, : n // 2] + jitter * noise
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         prior = 10.0 ** rng.uniform(log_floor, 0.0, size=n)
         prior[rng.integers(n)] = 1.0
         prior /= prior.sum()
@@ -543,8 +478,7 @@ class TestEffectiveSupport:
         rng = np.random.default_rng(m)
         n = 64
         s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         prior = self._tailed_priors(rng, n)
         assert (prior <= ref.LOG_EPS / (2 * n * n)).any(axis=1).sum() >= 6
         got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
@@ -560,8 +494,7 @@ class TestEffectiveSupport:
         rng = np.random.default_rng(int(np.log10(snr)) + 3)
         n = 64
         s = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         t = build_markov(n, 0.2, 5).transition
         kept = np.vstack([t[[0, 9, 40]], rng.random((2, n)), t[[5]] @ t])
         kept /= kept.sum(axis=1, keepdims=True)
@@ -626,7 +559,9 @@ class TestMpmathOracle:
     ones share a column plus a 0.1-scale perturbation (column correlation
     about 0.99).  The bounds are 10x the largest relative error measured at
     the time this test was written, per SNR and kind; the kernel's Gram data
-    come from numpy, as a run's do."""
+    come from numpy, as a run's do.  Each ORACLE line splits the error into
+    that of the float Gram (the closed form at 60 digits on it, against the
+    oracle) and that of the kernel's arithmetic (against that closed form)."""
 
     MEASURED = {  # max relative error of 3 cases, (random, nearly aligned)
         10.0: (4.6e-15, 3.6e-14),
@@ -634,37 +569,9 @@ class TestMpmathOracle:
         1e6: (1.8e-9, 2.7e-7),
     }
 
-    @staticmethod
-    def _oracle(mp, s, prior, snr):
-        m, n = s.shape
-        cols = [mp.matrix([[mp.mpc(complex(x))] for x in s[:, k]]) for k in range(n)]
-        sig = [c * c.H + mp.eye(m) / mp.mpf(snr) for c in cols]
-        inv = [mp.inverse(x) for x in sig]
-        half = [mp.cholesky(x) for x in sig]
-        logdet = [mp.log(mp.re(mp.det(x))) for x in sig]
-        p = [mp.mpf(x) for x in prior]
-        total = mp.mpf(0)
-        for k in range(n):
-            for j in range(n):
-                if j == k:
-                    continue
-                # y ~ CN(0, sig_k) = half_k w: the test statistic
-                # y^H (inv_j - inv_k) y is sum_i lam_i |w_i|^2, with lam the
-                # eigenvalues of half_k^H (inv_j - inv_k) half_k (rank two)
-                white = half[k].H * (inv[j] - inv[k]) * half[k]
-                lam = sorted(mp.re(x) for x in mp.eighe((white + white.H) / 2, eigvals_only=True))
-                lam1, lam2 = lam[-1], lam[0]
-                delta = mp.log(p[j] / p[k]) + logdet[k] - logdet[j]
-                if delta <= 0:
-                    mu = lam2 / (lam2 - lam1) * mp.exp(-delta / lam2)
-                else:
-                    mu = 1 + lam1 / (lam2 - lam1) * mp.exp(-delta / lam1)
-                total += p[k] * mu
-        return total
-
     @pytest.mark.parametrize("snr", sorted(MEASURED))
     def test_relative_error(self, snr):
-        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(int(np.log10(snr)))
         errors = {"random": [], "aligned": []}
         for kind in ("random", "random", "random", "aligned", "aligned", "aligned"):
@@ -673,11 +580,15 @@ class TestMpmathOracle:
                 s = s[:, :1] + 0.1 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
             prior = rng.random(5)
             prior /= prior.sum()
-            sensing = SensingMatrix(matrix=s)
-            got = kernels.gamma_ub(prior, sensing.gram_abs2, sensing.col_norms_sq, snr)
-            with mpmath.workdps(60):
-                want = self._oracle(mpmath.mp, s, prior, snr)
-            errors[kind].append(float(abs(got - want) / want))
+            data = gram_data(s)
+            got = kernels.gamma_ub(prior, *data, snr)
+            want, gram = mp_gamma_ub(s, prior, snr), mp_gram_gamma_ub(*data, prior, snr)
+            parts = (got - want, gram - want, got - gram)
+            errors[kind].append([float(abs(x) / want) for x in parts])
         for kind, bound in zip(("random", "aligned"), self.MEASURED[snr]):
-            print(f"ORACLE snr={snr:g} {kind} max relative error {max(errors[kind]):.3g}")
-            assert max(errors[kind]) <= 10 * bound, kind
+            total, float_gram, kernel = np.max(errors[kind], axis=0)
+            print(
+                f"ORACLE snr={snr:g} {kind} max relative error {total:.3g} "
+                f"(float Gram {float_gram:.3g}, kernel arithmetic {kernel:.3g})"
+            )
+            assert total <= 10 * bound, kind

@@ -1,8 +1,10 @@
 """Pair eigenvalue, tail probability, and union bound tests.
 
-Each is checked on the bound kernel the run uses, against dense
-linear-algebra oracles built with ``np.linalg``.
+Each is checked on the bound kernel the run uses, against hand values,
+Monte Carlo, and the dense ``np.linalg`` references of ``oracles``.
 """
+
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -19,30 +21,13 @@ from beamtrack.tracking import (
     posterior,
     sensing_matrix,
 )
-
-
-def covariance(s, snr):
-    return np.outer(s, s.conj()) + np.eye(len(s)) / snr
-
-
-def covariance_inverse(s, snr):
-    return np.linalg.inv(covariance(s, snr))
+from oracles import folded_mu, gram_data, log_det, rank_two, whitened_eigvals
 
 
 def pair_eigenvalues(s_k, s_n, snr):
     """The kernel's (lam1, lam2) of one pair, from the two-column Gram."""
-    pair = np.stack([s_k, s_n], axis=1)
-    norms_sq = np.sum(np.abs(pair) ** 2, axis=0)
-    gram_abs2 = np.abs(pair.conj().T @ pair) ** 2
-    lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, snr)
+    lam1, lam2 = ref.pair_eigs(*gram_data(np.stack([s_k, s_n], axis=1)), snr)
     return float(lam1[0, 1]), float(lam2[0, 1])
-
-
-def mu_pair(lam1, lam2, delta):
-    """The kernel's folded mu at given eigenvalues and threshold(s)."""
-    lam1, lam2, delta = (np.asarray(x, dtype=float) for x in (lam1, lam2, delta))
-    mu = ref._mu(delta, *ref._fold(lam1, lam2))
-    return float(mu) if mu.ndim == 0 else mu
 
 
 def gamma_ub(probs, sensing, snr):
@@ -56,16 +41,6 @@ def pair_mu_matrix(probs, sensing, snr):
         sensing.gram_abs2[np.ix_(idx, idx)], sensing.col_norms_sq[idx], snr
     )
     return idx, ref._rows_mu(probs[idx][None], consts)[0]
-
-
-def _whitened_difference(s_k, s_n, snr):
-    """Dense construction of the whitened inverse-covariance difference."""
-    sig_k = covariance(s_k, snr)
-    sig_n = covariance(s_n, snr)
-    w, u = np.linalg.eigh(sig_k)
-    half = np.diag(np.sqrt(w))
-    diff = np.linalg.inv(sig_n) - np.linalg.inv(sig_k)
-    return half @ u.conj().T @ diff @ u @ half
 
 
 class TestPairEigenvalues:
@@ -87,7 +62,7 @@ class TestPairEigenvalues:
         l1, l2 = pair_eigenvalues(s_k, s_n, snr)
         assert l1 == pytest.approx(snr * q, rel=1e-12)
         assert l2 == pytest.approx(-snr * q / (1.0 + snr * q), rel=1e-12)
-        dense = np.linalg.eigvalsh(_whitened_difference(s_k, s_n, snr))
+        dense = whitened_eigvals(s_k, s_n, snr)
         assert dense.max() == pytest.approx(l1, rel=1e-10)
         assert dense.min() == pytest.approx(l2, rel=1e-10)
 
@@ -98,7 +73,7 @@ class TestPairEigenvalues:
             s_k = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             s_n = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             snr = 10.0 ** rng.uniform(-1, 2.5)
-            dense = np.linalg.eigvalsh(_whitened_difference(s_k, s_n, snr))
+            dense = whitened_eigvals(s_k, s_n, snr)
             l1, l2 = pair_eigenvalues(s_k, s_n, snr)
             scale = max(1.0, np.abs(dense).max())
             assert abs(l1 - dense.max()) < 1e-8 * scale
@@ -118,31 +93,24 @@ class TestPairEigenvalues:
             s = sensing_matrix(beams, cb)
             k, n = rng.choice(16, size=2, replace=False)
             snr = 10.0 ** rng.uniform(0, 2)
-            diff = covariance_inverse(s.matrix[:, n], snr) - covariance_inverse(
-                s.matrix[:, k], snr
-            )
-            ev = np.linalg.eigvalsh(diff)
-            thresh = 1e-8 * np.abs(ev).max()
-            significant = ev[np.abs(ev) > thresh]
-            assert len(significant) <= 2
-            assert np.sum(significant > 0) <= 1 and np.sum(significant < 0) <= 1
+            assert rank_two(s.matrix[:, k], s.matrix[:, n], snr)
 
 
 class TestMuPair:
     def test_symmetric_half(self):
-        assert mu_pair(1.0, -1.0, 0.0) == pytest.approx(0.5)
+        assert folded_mu(1.0, -1.0, 0.0) == pytest.approx(0.5)
 
     def test_case_two_value(self):
-        assert mu_pair(2.0, 0.0, 2 * np.log(2)) == pytest.approx(0.5)
+        assert folded_mu(2.0, 0.0, 2 * np.log(2)) == pytest.approx(0.5)
 
     def test_case_three_value(self):
-        assert mu_pair(0.0, -2.0, -np.log(4)) == pytest.approx(0.5)
+        assert folded_mu(0.0, -2.0, -np.log(4)) == pytest.approx(0.5)
 
     def test_case_four(self):
-        assert mu_pair(0.0, 0.0, -1.0) == 0.0
-        assert mu_pair(0.0, 0.0, 1.0) == 1.0
+        assert folded_mu(0.0, 0.0, -1.0) == 0.0
+        assert folded_mu(0.0, 0.0, 1.0) == 1.0
         # identically-zero form: P(0 <= 0) = 1
-        assert mu_pair(0.0, 0.0, 0.0) == 1.0
+        assert folded_mu(0.0, 0.0, 0.0) == 1.0
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(2)
@@ -150,7 +118,7 @@ class TestMuPair:
         l1, l2, d = 1.7, -0.4, -0.3
         emp = float(np.mean(l1 * e[0] + l2 * e[1] <= d))
         se = np.sqrt(emp * (1 - emp) / e.shape[1])
-        assert abs(mu_pair(l1, l2, d) - emp) <= 3 * se
+        assert abs(folded_mu(l1, l2, d) - emp) <= 3 * se
 
     def test_cdf_monotone_in_delta(self):
         rng = np.random.default_rng(3)
@@ -159,7 +127,7 @@ class TestMuPair:
             l2 = -rng.uniform(0, 5)
             span = 50.0 * max(l1, -l2, 1.0)
             deltas = np.linspace(-span, span, 201)
-            vals = mu_pair(l1, l2, deltas)
+            vals = folded_mu(l1, l2, deltas)
             assert np.all(np.diff(vals) >= -1e-12)
             assert vals[0] < 1e-3 and vals[-1] > 1 - 1e-3
 
@@ -167,14 +135,14 @@ class TestMuPair:
         # the kernel only sees finite deltas (zero priors are cut away), so
         # the tails are checked at the extreme finite ones; an infinite delta
         # still gives the limits, in every case of which eigenvalue vanishes
-        assert mu_pair(1.0, -1.0, -1e300) == 0.0
-        assert mu_pair(1.0, -1.0, 1e300) == 1.0
-        assert mu_pair(2.0, 0.0, -1e300) == 0.0
-        assert mu_pair(0.0, -2.0, 1e300) == 1.0
+        assert folded_mu(1.0, -1.0, -1e300) == 0.0
+        assert folded_mu(1.0, -1.0, 1e300) == 1.0
+        assert folded_mu(2.0, 0.0, -1e300) == 0.0
+        assert folded_mu(0.0, -2.0, 1e300) == 1.0
         with np.errstate(invalid="ignore"):
             for lam1, lam2 in ((1.0, -1.0), (2.0, 0.0), (0.0, -2.0), (0.0, 0.0)):
-                assert mu_pair(lam1, lam2, -np.inf) == 0.0
-                assert mu_pair(lam1, lam2, np.inf) == 1.0
+                assert folded_mu(lam1, lam2, -np.inf) == 0.0
+                assert folded_mu(lam1, lam2, np.inf) == 1.0
 
     def test_within_unit_interval(self):
         # mu is not clipped: random, aligned and scaled columns at extreme
@@ -184,8 +152,7 @@ class TestMuPair:
         s[:, 1] = s[:, 0]
         s[:, 2] = 3.0 * s[:, 0]
         s[:, 3] = 1e-8 * s[:, 4]
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         prior = 10.0 ** rng.uniform(-300.0, 0.0, (6, 40))
         prior[0] = 1.0
         for snr in (1e-3, 1.0, 10.0, 1e3, 1e6):
@@ -204,7 +171,7 @@ class TestMuPair:
         arg = delta / np.where(high, nl_high, nl_low)
         tail = np.exp(arg)
         want = np.where(high, 1.0 + ratio_high * tail, ratio_low * tail)
-        got = mu_pair(lam1, lam2, delta)
+        got = folded_mu(lam1, lam2, delta)
         kept = arg >= ref.EXP_FLOOR
         assert (~kept).any() and kept.any()
         assert np.array_equal(got[kept], want[kept])
@@ -213,8 +180,8 @@ class TestMuPair:
     def test_case_continuity(self):
         # lam2 -> 0- converges to the lam2 = 0 case away from delta = 0
         for delta in (-1.3, -0.2, 0.4, 2.0):
-            near = mu_pair(1.5, -1e-6, delta)
-            limit = mu_pair(1.5, 0.0, delta)
+            near = folded_mu(1.5, -1e-6, delta)
+            limit = folded_mu(1.5, 0.0, delta)
             assert abs(near - limit) < 1e-4
 
     def test_invalid_signs(self):
@@ -225,8 +192,7 @@ class TestMuPair:
         s[:, 1] = s[:, 0]
         s[:, 2] = 3.0 * s[:, 0]
         s[:, 3] = 1e-8 * s[:, 4]
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         for snr in (1e-3, 1.0, 10.0, 1e3, 1e6):
             lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, snr)
             assert (lam1 >= 0.0).all() and (lam2 <= 0.0).all()
@@ -238,8 +204,7 @@ class TestDeltaThreshold:
 
     def test_equal_everything(self):
         s = np.array([[1 + 2j, 1 + 2j], [0.5 - 1j, 0.5 - 1j]])
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         logdet = ref._pair_constants(gram_abs2, norms_sq, 3.0)[0]
         assert (logdet == 0.0).all()
         # equal priors on equal columns: delta == 0, and both eigenvalues
@@ -286,8 +251,7 @@ class TestDeltaThreshold:
     def test_hand_value(self):
         # snr*q = (1, 0) gives |Sigma_0| / |Sigma_1| = 2; priors (0.3, 0.1)
         s = np.array([[1.0 + 0j, 0.0]])
-        norms_sq = np.sum(np.abs(s) ** 2, axis=0)
-        gram_abs2 = np.abs(s.conj().T @ s) ** 2
+        gram_abs2, norms_sq = gram_data(s)
         logdet = ref._pair_constants(gram_abs2, norms_sq, 1.0)[0].reshape(2, 2)
         delta = np.log(0.1) - np.log(0.3) + logdet[0, 1]
         assert delta == pytest.approx(np.log(2 / 3))
@@ -342,18 +306,12 @@ class TestUpperBound:
         snr = 12.0
         lam1, lam2 = ref.pair_eigs(sensing.gram_abs2, sensing.col_norms_sq, snr)
         _, mu = pair_mu_matrix(probs, sensing, snr)
-        for k in range(4):
-            for n in range(4):
-                if n == k:
-                    continue
-                l1, l2 = pair_eigenvalues(mat[:, k], mat[:, n], snr)
-                assert lam1[k, n] == pytest.approx(l1, abs=1e-10)
-                assert lam2[k, n] == pytest.approx(l2, abs=1e-10)
-                d = np.log(probs[n] / probs[k]) + (
-                    np.linalg.slogdet(covariance(mat[:, k], snr))[1]
-                    - np.linalg.slogdet(covariance(mat[:, n], snr))[1]
-                )
-                assert mu[k, n] == pytest.approx(mu_pair(l1, l2, d), abs=1e-12)
+        for k, n in permutations(range(4), 2):
+            l1, l2 = pair_eigenvalues(mat[:, k], mat[:, n], snr)
+            assert lam1[k, n] == pytest.approx(l1, abs=1e-10)
+            assert lam2[k, n] == pytest.approx(l2, abs=1e-10)
+            d = np.log(probs[n] / probs[k]) + (log_det(mat[:, k], snr) - log_det(mat[:, n], snr))
+            assert mu[k, n] == pytest.approx(folded_mu(l1, l2, d), abs=1e-12)
 
     def test_bound_dominates_monte_carlo(self):
         # simulate the single-period detection problem the bound describes

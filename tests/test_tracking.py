@@ -27,23 +27,12 @@ from beamtrack.tracking import (
     log_likelihood_scores,
     sensing_matrix,
 )
+from oracles import brute_force_posterior, covariance, log_likelihoods
 
 
 def _random_sensing(rng, m, n):
     mat = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     return SensingMatrix(matrix=mat)
-
-
-def _brute_force_posterior(prior, y, sensing, snr):
-    """Dense-linear-algebra evaluation of the Bayes update (oracle)."""
-    n = sensing.n_points
-    scores = np.zeros(n)
-    for k in range(n):
-        s = sensing.matrix[:, k]
-        sig = np.outer(s, s.conj()) + np.eye(len(s)) / snr
-        quad = float((y.conj() @ np.linalg.inv(sig) @ y).real)
-        scores[k] = prior[k] * np.exp(-quad) / float(np.linalg.det(sig).real)
-    return scores / scores.sum()
 
 
 class TestBeamMatrix:
@@ -144,8 +133,7 @@ class TestObservation:
         noise = _noise(_noise_normals(config, range(n), 2, 4), 2, snr)
         ys = gains[:, None] * s.matrix[:, kappa] + noise
         emp = ys.T @ ys.conj() / n
-        col = s.matrix[:, kappa]
-        expected = np.outer(col, col.conj()) + np.eye(2) / snr
+        expected = covariance(s.matrix[:, kappa], snr)
         # per-entry standard error scales with the diagonal magnitudes
         tol = 3 * np.max(np.abs(expected)) / np.sqrt(n) * 2
         assert np.max(np.abs(emp - expected)) < tol
@@ -210,12 +198,7 @@ class TestShermanMorrison:
             snr = 10.0 ** rng.uniform(-1, 3)
             y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             got = log_likelihood_scores(PilotObservation(y=y, snr=snr), sensing)
-            for k in range(6):
-                s = sensing.matrix[:, k]
-                sig = np.outer(s, s.conj()) + np.eye(m) / snr
-                quad = float((y.conj() @ np.linalg.inv(sig) @ y).real)
-                dense = -quad - np.linalg.slogdet(sig)[1] - m * np.log(snr)
-                assert got[k] == pytest.approx(dense, rel=1e-9)
+            assert got == pytest.approx(log_likelihoods(y, sensing.matrix, snr), rel=1e-9)
 
 
 class TestPosterior:
@@ -242,7 +225,7 @@ class TestPosterior:
         probs = np.array([0.4, 0.3, 0.2, 0.1])
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         out = posterior(Belief(probs), PilotObservation(y=y, snr=10.0), sensing)
-        expected = _brute_force_posterior(probs, y, sensing, 10.0)
+        expected = brute_force_posterior(probs, y, sensing.matrix, 10.0)
         np.testing.assert_allclose(out.probs, expected, atol=1e-10)
         assert map_estimate(out) == int(np.argmax(expected))
 
