@@ -102,7 +102,12 @@ def _trials_pieces(trials_by_policy: dict[str, np.ndarray]):
             )
 
 
-def _manifest(config: ExperimentConfig, digests: dict[str, str], started: float) -> str:
+def _write_outputs(out: Path, config: ExperimentConfig, started: float, summary, trials) -> None:
+    """Write summary.csv, each trials file of ``trials`` (file name -> trial
+    arrays by policy), then manifest.json with the digests of the others."""
+    digests = {"summary.csv": _write(out / "summary.csv", [_summary_csv(summary)])}
+    for name, by_policy in trials.items():
+        digests[name] = _write(out / name, _trials_pieces(by_policy))
     payload = {
         "version": __version__,
         "seed": config.seed,
@@ -110,7 +115,7 @@ def _manifest(config: ExperimentConfig, digests: dict[str, str], started: float)
         "duration_s": round(time.perf_counter() - started, 3),
         "outputs": digests,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(out / "manifest.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def parse_prior_spec(spec: str, model: MarkovModel) -> Belief:
@@ -204,12 +209,7 @@ def cmd_simulate(args) -> int:
         trials, summary = run_experiment(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = Path(args.out)
-    digests = {
-        "summary.csv": _write(out / "summary.csv", [_summary_csv(summary)]),
-        "trials.csv": _write(out / "trials.csv", _trials_pieces(trials)),
-    }
-    _write(out / "manifest.json", [_manifest(config, digests, started)])
+    _write_outputs(Path(args.out), config, started, summary, {"trials.csv": trials})
     return 0
 
 
@@ -221,12 +221,8 @@ def cmd_sweep(args) -> int:
         results, summary = sweep(config, param=param)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = Path(args.out)
-    digests = {"summary.csv": _write(out / "summary.csv", [_summary_csv(summary)])}
-    for val, trials in results.items():
-        name = f"trials_{param}_{val:g}.csv"
-        digests[name] = _write(out / name, _trials_pieces(trials))
-    _write(out / "manifest.json", [_manifest(config, digests, started)])
+    trials = {f"trials_{param}_{val:g}.csv": part for val, part in results.items()}
+    _write_outputs(Path(args.out), config, started, summary, trials)
     return 0
 
 

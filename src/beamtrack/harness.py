@@ -74,6 +74,13 @@ FLOAT_RANGES = {"beta": (0.0, 1.0), "snr_db": (-300.0, 300.0)}
 # whatever n_frames is.
 BLOCK_FRAMES = 256
 
+# Prior rows (frames x periods, at least one period) a block stores per
+# designed policy before it logs their bounds, so the stored priors do not
+# grow with p_ttis.  A full default block (256 frames x 9 periods) still logs
+# once per policy: fewer rows per kernel call cost more calls and more
+# support groups.
+LOG_ROWS = 2304
+
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -271,9 +278,9 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
 
     ``scheduler`` serves the beams of the designed policies, with its model
     and SNR; ``cycling`` is the probe sweep of ``beam_cycling``.  The bound
-    never feeds back into tracking, so each designed policy keeps its period
+    never feeds back into tracking, so each designed policy stores its period
     priors as the scheduler returns them, with their designed indices, and
-    logs the bounds once the block's periods are done.
+    logs their bounds when ``LOG_ROWS`` rows are stored or the periods end.
     """
     model, snr = scheduler.model, scheduler.snr
     designed = [pol for pol in config.policies if pol != "beam_cycling"]
@@ -287,12 +294,13 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
 
     est = {pol: np.empty((len(frames), n_steps), dtype=int) for pol in config.policies}
     gub = {pol: np.full((len(frames), n_steps), np.nan) for pol in config.policies}
-    priors = {pol: np.empty((n_steps, len(frames), config.n_grid)) for pol in designed}
-    keys = {pol: np.empty((n_steps, len(frames)), dtype=int) for pol in designed}
+    stored = min(n_steps, max(1, LOG_ROWS // len(frames)))
+    priors = {pol: np.empty((stored, len(frames), config.n_grid)) for pol in designed}
+    keys = {pol: np.empty((stored, len(frames)), dtype=int) for pol in designed}
     beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in designed}
     prev_est = {pol: init for pol in designed}
     for step in range(n_steps):
-        tti = step + 2
+        tti, slot = step + 2, step % stored
         normals = (
             None
             if config.noiseless
@@ -307,7 +315,7 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
                 continue
 
             prior = propagate_prior(beliefs[pol], model)
-            sensing, priors[pol][step], keys[pol][step] = scheduler.serve(
+            sensing, priors[pol][slot], keys[pol][slot] = scheduler.serve(
                 pol, prev_est[pol], prior.probs
             )
             y = gains[:, step, None] * sensing.matrix[rows, :, true[:, step]]
@@ -315,8 +323,11 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
                 y = y + _noise(normals, config.m_beams, snr)
             beliefs[pol] = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
             prev_est[pol] = est[pol][:, step] = map_estimate(beliefs[pol])
-    for pol in designed:
-        gub[pol] = scheduler.log_bounds(pol, priors[pol], keys[pol]).T
+        if slot == stored - 1 or step == n_steps - 1:
+            for pol in designed:
+                gub[pol][:, step - slot : step + 1] = scheduler.log_bounds(
+                    pol, priors[pol][: slot + 1], keys[pol][: slot + 1]
+                ).T
 
     out = {}
     for pol in config.policies:

@@ -389,10 +389,11 @@ class TestBlockedLoop:
 
     @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
     def test_one_kernel_call_per_block_design(self, monkeypatch, edge_mode):
-        # bounds are logged at block end, one kernel call per canonical
-        # design a block used: per block and designed policy, one per
-        # distinct canonical index of the point estimates its periods were
-        # designed from (under wrap that is always one)
+        # a block's 48 rows fit one logging store, so its bounds are logged
+        # once, one kernel call per canonical design the block used: per
+        # block and designed policy, one per distinct canonical index of the
+        # point estimates its periods were designed from (under wrap that is
+        # always one)
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
         calls = []
         gamma_ub = kernels.gamma_ub
@@ -479,10 +480,26 @@ class TestBlockedLoop:
         assert np.array_equal(got, want.reshape(n_steps, n_frames))
         assert peak < priors.nbytes / 2
 
-    def test_block_peak_memory(self):
+    @pytest.mark.parametrize("log_rows", [1, 80])
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    def test_logging_chunks_keep_bits(self, monkeypatch, edge_mode, log_rows):
+        # a block's priors logged a period at a time, or two at a time with a
+        # shorter last chunk, give every bound the bits of one logging call
+        cfg = _config(edge_mode=edge_mode, p_ttis=6, policy=["psa_optimized", "directional_tep"])
+        whole, _ = run_experiment(cfg)
+        monkeypatch.setattr(harness, "LOG_ROWS", log_rows)
+        chunked, _ = run_experiment(cfg)
+        for pol in cfg.policies:
+            assert chunked[pol].tobytes() == whole[pol].tobytes(), pol
+
+    @pytest.mark.parametrize("p_ttis", [10, 100])
+    def test_block_peak_memory(self, p_ttis):
         # with designs warmed, one full three-policy Fig. 2 block traces a
-        # fixed peak whatever n_frames is (measured 4.9 MB)
-        state = harness.prepare(ExperimentConfig(policy=list(POLICIES)))
+        # fixed peak whatever n_frames is, plus about 110 B per frame-period
+        # for its trajectories, estimates, bounds and trial rows; its stored
+        # priors stop at LOG_ROWS rows (measured 4.9 MB at p_ttis 10 and
+        # 7.4 MB at 100, where storing every period's priors traced 34 MB)
+        state = harness.prepare(ExperimentConfig(policy=list(POLICIES), p_ttis=p_ttis))
         harness._run_block(range(2), **state)  # designs, imports
         tracemalloc.start()
         try:
@@ -491,7 +508,7 @@ class TestBlockedLoop:
         finally:
             tracemalloc.stop()
         assert state["scheduler"].design_count == 2
-        assert peak < 6e6
+        assert peak < 6e6 + 128 * harness.BLOCK_FRAMES * (p_ttis - 10)
 
 
 class TestSweep:
