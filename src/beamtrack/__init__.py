@@ -7,13 +7,11 @@ design of unit-modulus training beam sequences that minimize that bound.
 
 from . import kernels
 from .arraymodel import (
-    AngleGrid,
     Codebook,
     MarkovModel,
     build_codebook,
     build_grid,
     build_markov,
-    physical_to_normalized,
     steering_vector,
 )
 from .harness import ExperimentConfig, SummaryRow, run_experiment, sweep

@@ -1,10 +1,9 @@
 """Angular grid, steering vectors, codebook, and Markov AoD dynamics.
 
 The transmitter is a uniform linear array with ``n_tx`` elements.  Directions
-are handled as normalized angles (phase progression per element, radians);
-the map from a physical departure angle is ``physical_to_normalized``.  The
-angle of departure lives on a uniform grid of ``n_points`` angles and hops
-between grid points following a banded Markov chain.
+are handled as normalized angles (phase progression per element, radians).
+The angle of departure lives on a uniform grid of ``n_points`` angles and
+hops between grid points following a banded Markov chain.
 """
 
 from __future__ import annotations
@@ -15,15 +14,12 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "AngleGrid",
     "Codebook",
     "MarkovModel",
     "steering_vector",
     "build_grid",
     "build_codebook",
-    "physical_to_normalized",
     "build_markov",
-    "circular_index_distance",
 ]
 
 
@@ -39,45 +35,20 @@ def steering_vector(theta: float, n_tx: int) -> np.ndarray:
     return np.exp(1j * theta * np.arange(n_tx)) / np.sqrt(n_tx)
 
 
-def physical_to_normalized(phi: float, spacing_ratio: float = 0.5) -> float:
-    """Map a physical departure angle in [0, pi] to its normalized angle.
-
-    With half-wavelength spacing (``spacing_ratio = 0.5``) this is
-    pi*cos(phi), spanning [-pi, pi].
-    """
-    if not 0.0 <= phi <= np.pi:
-        raise ValueError(f"phi must lie in [0, pi], got {phi}")
-    if spacing_ratio <= 0:
-        raise ValueError("spacing_ratio must be positive")
-    return 2.0 * np.pi * spacing_ratio * np.cos(phi)
-
-
 def _wrap_angle(theta: np.ndarray) -> np.ndarray:
     return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
 
 
-@dataclass(frozen=True)
-class AngleGrid:
-    """Uniform grid of ``n_points`` normalized angles, wrapped to [-pi, pi).
+def build_grid(n_points: int) -> np.ndarray:
+    """Grid angles pi/N + 2*pi*n/N for n = 0..N-1, wrapped to [-pi, pi).
 
-    Index order follows the raw grid (pi/N, pi/N + 2pi/N, ...), so adjacent
-    indices are angular neighbours circularly.
+    Index order follows the raw grid, so adjacent indices are angular
+    neighbours circularly.
     """
-
-    n_points: int
-    angles: np.ndarray
-
-    def __post_init__(self):
-        if self.n_points != len(self.angles):
-            raise ValueError("n_points does not match angles length")
-
-
-def build_grid(n_points: int) -> AngleGrid:
-    """Grid angles pi/N + 2*pi*n/N for n = 0..N-1, wrapped to [-pi, pi)."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     raw = np.pi / n_points + 2.0 * np.pi * np.arange(n_points) / n_points
-    return AngleGrid(n_points=n_points, angles=_wrap_angle(raw))
+    return _wrap_angle(raw)
 
 
 @dataclass(frozen=True)
@@ -85,22 +56,17 @@ class Codebook:
     """Steering vectors at all grid angles, stacked as columns (n_tx x N)."""
 
     n_tx: int
-    grid: AngleGrid
+    angles: np.ndarray
     matrix: np.ndarray
 
     @property
     def n_points(self) -> int:
-        return self.grid.n_points
+        return len(self.angles)
 
 
-def build_codebook(grid: AngleGrid, n_tx: int) -> Codebook:
-    cols = np.stack([steering_vector(th, n_tx) for th in grid.angles], axis=1)
-    return Codebook(n_tx=n_tx, grid=grid, matrix=cols)
-
-
-def circular_index_distance(i: int, k: int, n_points: int) -> int:
-    d = abs(int(k) - int(i)) % n_points
-    return min(d, n_points - d)
+def build_codebook(angles: np.ndarray, n_tx: int) -> Codebook:
+    cols = np.stack([steering_vector(th, n_tx) for th in angles], axis=1)
+    return Codebook(n_tx=n_tx, angles=angles, matrix=cols)
 
 
 @dataclass(frozen=True)
@@ -121,8 +87,6 @@ class MarkovModel:
     class.  The map comes from the construction, not from comparing rows.
     """
 
-    beta: float
-    sigma: int
     transition: np.ndarray
     canonical: np.ndarray
     shift: np.ndarray
@@ -169,4 +133,4 @@ def build_markov(
     else:
         weights = np.where(dist <= sigma, float(beta) ** dist, 0.0)
     transition = weights / weights.sum(axis=1, keepdims=True)
-    return MarkovModel(beta, sigma, transition, canonical, shift)
+    return MarkovModel(transition, canonical, shift)

@@ -179,11 +179,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
-        psa = d.pop("psa", None)
-        if isinstance(psa, dict):
-            d["psa"] = PsaConfig(**psa)
-        elif psa is not None:
-            d["psa"] = psa
+        if isinstance(d.get("psa"), dict):
+            d["psa"] = PsaConfig(**d["psa"])
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -196,10 +193,7 @@ def beam_cycling_probes(n_tx: int, codebook) -> SensingMatrix:
     Probes are steering vectors at a uniform grid of n_tx angles (mutually
     orthogonal), one channel use per direction.
     """
-    probe_grid = build_grid(n_tx)
-    beams = BeamMatrix(
-        phases=np.outer(np.arange(n_tx), probe_grid.angles)
-    )
+    beams = BeamMatrix(phases=np.outer(np.arange(n_tx), build_grid(n_tx)))
     return sensing_matrix(beams, codebook)
 
 
@@ -217,12 +211,12 @@ def beam_cycling_estimate(y: np.ndarray, sensing: SensingMatrix) -> int | np.nda
 def _trajectories(config: ExperimentConfig, model, frames):
     """Shared-per-frame channel realizations: index walk plus per-period gains.
 
-    Returns the (F,) initial indices and the (F, p_ttis - 1) indices and
-    complex gains of the tracked periods.  Frame f draws from
-    ``default_rng([seed, f, 0])``; the streams of all frames are seeded in
-    one step.  Each stream gives one integer, then one uniform and two
-    normals per hop.  A hop moves to the number of transition-CDF entries of
-    the current row at or below its uniform, which is what
+    Returns the (F,) initial indices and the (F, p_ttis - 1) indices, in the
+    trial rows' index type, and complex gains of the tracked periods.  Frame
+    f draws from ``default_rng([seed, f, 0])``; the streams of all frames are
+    seeded in one step.  Each stream gives one integer, then one uniform and
+    two normals per hop.  A hop moves to the number of transition-CDF
+    entries of the current row at or below its uniform, which is what
     ``rng.choice(n, p=row)`` picks, so the walk is the same.
     """
     # Imported here: numpy.random adds to every run's import time.
@@ -239,7 +233,7 @@ def _trajectories(config: ExperimentConfig, model, frames):
             rng.standard_normal(out=normals[f, step])
 
     cdf = model.transition_cdf
-    indices = np.empty((len(frames), n_steps), dtype=int)
+    indices = np.empty((len(frames), n_steps), dtype=TRIAL_DTYPE["true_index"])
     current = init
     for step in range(n_steps):
         current = (cdf[current] <= uniforms[:, step, None]).sum(axis=1)
@@ -277,10 +271,12 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
     """Simulate a block of frames, all advancing one period at a time.
 
     ``scheduler`` serves the beams of the designed policies, with its model
-    and SNR; ``cycling`` is the probe sweep of ``beam_cycling``.  The bound
-    never feeds back into tracking, so each designed policy stores its period
-    priors as the scheduler returns them, with their designed indices, and
-    logs their bounds when ``LOG_ROWS`` rows are stored or the periods end.
+    and SNR; ``cycling`` is the probe sweep of ``beam_cycling``.  Each
+    policy's (F, p_ttis - 1) trial rows take its estimates as the periods
+    run.  The bound never feeds back into tracking, so each designed policy
+    stores its period priors as the scheduler returns them, with their
+    designed indices, and logs their bounds into its rows when ``LOG_ROWS``
+    rows are stored or the periods end.
     """
     model, snr = scheduler.model, scheduler.snr
     designed = [pol for pol in config.policies if pol != "beam_cycling"]
@@ -292,8 +288,12 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
         for pol in config.policies
     ]
 
-    est = {pol: np.empty((len(frames), n_steps), dtype=int) for pol in config.policies}
-    gub = {pol: np.full((len(frames), n_steps), np.nan) for pol in config.policies}
+    trials = {pol: np.empty((len(frames), n_steps), TRIAL_DTYPE) for pol in config.policies}
+    for block in trials.values():
+        block["frame"] = np.asarray(frames)[:, None]
+        block["tti"] = np.arange(2, config.p_ttis + 1)
+        block["true_index"] = true
+        block["gamma_ub"] = np.nan
     stored = min(n_steps, max(1, LOG_ROWS // len(frames)))
     priors = {pol: np.empty((stored, len(frames), config.n_grid)) for pol in designed}
     keys = {pol: np.empty((stored, len(frames)), dtype=int) for pol in designed}
@@ -307,11 +307,12 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
             else _noise_normals(config, frames, tti, 2 * max(widths))
         )
         for pol in config.policies:
+            est = trials[pol]["est_index"]
             if pol == "beam_cycling":
                 y = gains[:, step, None] * cycling.matrix.T[true[:, step]]
                 if normals is not None:
                     y = y + _noise(normals, cycling.m_beams, snr)
-                est[pol][:, step] = beam_cycling_estimate(y, cycling)
+                est[:, step] = beam_cycling_estimate(y, cycling)
                 continue
 
             prior = propagate_prior(beliefs[pol], model)
@@ -322,24 +323,16 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
             if normals is not None:
                 y = y + _noise(normals, config.m_beams, snr)
             beliefs[pol] = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
-            prev_est[pol] = est[pol][:, step] = map_estimate(beliefs[pol])
+            prev_est[pol] = est[:, step] = map_estimate(beliefs[pol])
         if slot == stored - 1 or step == n_steps - 1:
             for pol in designed:
-                gub[pol][:, step - slot : step + 1] = scheduler.log_bounds(
+                trials[pol]["gamma_ub"][:, step - slot : step + 1] = scheduler.log_bounds(
                     pol, priors[pol][: slot + 1], keys[pol][: slot + 1]
                 ).T
 
-    out = {}
-    for pol in config.policies:
-        trials = np.empty(len(frames) * n_steps, dtype=TRIAL_DTYPE)
-        trials["frame"] = np.repeat(np.asarray(frames), n_steps)
-        trials["tti"] = np.tile(np.arange(2, config.p_ttis + 1), len(frames))
-        trials["true_index"] = true.ravel()
-        trials["est_index"] = est[pol].ravel()
-        trials["error"] = est[pol].ravel() != true.ravel()
-        trials["gamma_ub"] = gub[pol].ravel()
-        out[pol] = trials
-    return out
+    for block in trials.values():
+        block["error"] = block["est_index"] != block["true_index"]
+    return {pol: block.ravel() for pol, block in trials.items()}
 
 
 def prepare(config: ExperimentConfig) -> dict:

@@ -154,7 +154,7 @@ def beam_objective(
 
 def steering_phases(codebook: Codebook, indices) -> np.ndarray:
     """Phase matrix of the codebook steering vectors at the given indices."""
-    angles = codebook.grid.angles[np.asarray(indices, dtype=int)]
+    angles = codebook.angles[np.asarray(indices, dtype=int)]
     return np.outer(np.arange(codebook.n_tx), angles)
 
 

@@ -51,15 +51,6 @@ class BeamMatrix:
         n_tx = phases.shape[0]
         object.__setattr__(self, "matrix", np.exp(1j * phases) / np.sqrt(n_tx))
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "BeamMatrix":
-        matrix = np.atleast_2d(np.asarray(matrix))
-        n_tx = matrix.shape[0]
-        moduli = np.abs(matrix) * np.sqrt(n_tx)
-        if not np.allclose(moduli, 1.0, atol=1e-9):
-            raise ValueError("beam entries must all have modulus 1/sqrt(n_tx)")
-        return cls(phases=np.angle(matrix))
-
     @property
     def n_tx(self) -> int:
         return self.phases.shape[0]

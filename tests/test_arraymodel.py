@@ -9,8 +9,6 @@ from beamtrack.arraymodel import (
     build_codebook,
     build_grid,
     build_markov,
-    circular_index_distance,
-    physical_to_normalized,
     steering_vector,
 )
 from beamtrack.harness import ExperimentConfig, _trajectories
@@ -56,62 +54,44 @@ class TestSteeringVector:
 
 class TestGrid:
     def test_first_raw_value(self):
-        grid = build_grid(64)
+        angles = build_grid(64)
         # raw value pi/64 is inside [-pi, pi) already
-        assert grid.angles[0] == pytest.approx(np.pi / 64)
+        assert angles[0] == pytest.approx(np.pi / 64)
 
     def test_n4_values(self):
-        grid = build_grid(4)
+        angles = build_grid(4)
         raw = np.array([np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4])
         wrapped = np.mod(raw + np.pi, 2 * np.pi) - np.pi
-        np.testing.assert_allclose(grid.angles, wrapped)
+        np.testing.assert_allclose(angles, wrapped)
 
     def test_n2_values(self):
-        grid = build_grid(2)
+        angles = build_grid(2)
         np.testing.assert_allclose(
-            np.sort(grid.angles), np.sort([np.pi / 2, 3 * np.pi / 2 - 2 * np.pi])
+            np.sort(angles), np.sort([np.pi / 2, 3 * np.pi / 2 - 2 * np.pi])
         )
 
     def test_sorted_distinct(self):
-        grid = build_grid(64)
-        s = np.sort(grid.angles)
+        angles = build_grid(64)
+        s = np.sort(angles)
         assert np.all(np.diff(s) > 0)
-        assert np.all(grid.angles >= -np.pi) and np.all(grid.angles < np.pi)
+        assert np.all(angles >= -np.pi) and np.all(angles < np.pi)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             build_grid(1)
 
 
-class TestPhysicalToNormalized:
-    @pytest.mark.parametrize(
-        "phi,expected",
-        [(np.pi / 2, 0.0), (0.0, np.pi), (np.pi / 3, np.pi / 2)],
-    )
-    def test_values(self, phi, expected):
-        assert physical_to_normalized(phi, 0.5) == pytest.approx(expected, abs=1e-12)
-
-    def test_monotone_decreasing(self):
-        phis = np.linspace(0, np.pi, 50)
-        vals = [physical_to_normalized(p, 0.5) for p in phis]
-        assert np.all(np.diff(vals) < 0)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            physical_to_normalized(-0.1)
-
-
 class TestCodebook:
     def test_columns_and_moduli(self):
-        grid = build_grid(64)
-        cb = build_codebook(grid, 32)
+        angles = build_grid(64)
+        cb = build_codebook(angles, 32)
         np.testing.assert_allclose(np.abs(cb.matrix), 1 / np.sqrt(32), atol=1e-12)
         np.testing.assert_allclose(
             np.linalg.norm(cb.matrix, axis=0), 1.0, atol=1e-12
         )
         for n in (0, 7, 63):
             np.testing.assert_allclose(
-                cb.matrix[:, n], steering_vector(grid.angles[n], 32)
+                cb.matrix[:, n], steering_vector(angles[n], 32)
             )
 
 
@@ -142,7 +122,7 @@ class TestMarkov:
         model = build_markov(32, 0.3, 3)
         for i in range(32):
             for k in range(32):
-                d = circular_index_distance(i, k, 32)
+                d = min(abs(k - i), 32 - abs(k - i))
                 if d > 3:
                     assert model.transition[i, k] == 0.0
                 else:
@@ -212,7 +192,7 @@ class TestEvolve:
         for init, indices, _ in walks:
             path = [init, *indices]
             for a, b in zip(path[:-1], path[1:]):
-                assert circular_index_distance(a, b, 32) <= 4
+                assert min(abs(b - a), 32 - abs(b - a)) <= 4
 
     def test_empirical_transition_frequencies(self):
         model, walks = _walks(8, 0.5, 2, p_ttis=101, n_frames=1000)

@@ -149,6 +149,7 @@ class TestConfigLoading:
         ("policy", {"policy": "oracle"}),
         ("policy", {"policy": 3}),
         ("psa", {"psa": [8]}),
+        ("psa", {"psa": None}),
         ("seed", {"seed": -1}),
         ("seed", {"seed": True}),
         ("edge_mode", {"edge_mode": "circular"}),

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -362,6 +363,21 @@ def _reference_frames(config, rebuild=False):
     return {pol: np.array(rows, dtype=TRIAL_DTYPE) for pol, rows in out.items()}
 
 
+@lru_cache(maxsize=None)
+def _block_peak(p_ttis):
+    """Traced peak of one warmed three-policy Fig. 2 block of BLOCK_FRAMES
+    frames, and the designs its scheduler holds."""
+    state = harness.prepare(ExperimentConfig(policy=list(POLICIES), p_ttis=p_ttis))
+    harness._run_block(range(2), **state)  # designs, imports
+    tracemalloc.start()
+    try:
+        harness._run_block(range(harness.BLOCK_FRAMES), **state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, state["scheduler"].design_count
+
+
 class TestBlockedLoop:
     """The period-by-period block loop equals the frame-by-frame reference
     bit for bit, gamma_ub included."""
@@ -495,20 +511,21 @@ class TestBlockedLoop:
     @pytest.mark.parametrize("p_ttis", [10, 100])
     def test_block_peak_memory(self, p_ttis):
         # with designs warmed, one full three-policy Fig. 2 block traces a
-        # fixed peak whatever n_frames is, plus about 110 B per frame-period
-        # for its trajectories, estimates, bounds and trial rows; its stored
-        # priors stop at LOG_ROWS rows (measured 4.9 MB at p_ttis 10 and
-        # 7.4 MB at 100, where storing every period's priors traced 34 MB)
-        state = harness.prepare(ExperimentConfig(policy=list(POLICIES), p_ttis=p_ttis))
-        harness._run_block(range(2), **state)  # designs, imports
-        tracemalloc.start()
-        try:
-            harness._run_block(range(harness.BLOCK_FRAMES), **state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert state["scheduler"].design_count == 2
+        # fixed peak whatever n_frames is, plus about 80 B per frame-period
+        # for its walk and trial rows; its stored priors stop at LOG_ROWS
+        # rows (measured 4.9 MB at p_ttis 10 and 6.8 MB at 100, where storing
+        # every period's priors traced 34 MB)
+        peak, designs = _block_peak(p_ttis)
+        assert designs == 2
         assert peak < 6e6 + 128 * harness.BLOCK_FRAMES * (p_ttis - 10)
+
+    def test_block_memory_per_period(self):
+        # an added frame-period costs a block its three policies' trial rows
+        # (57 B) and its walk's int16 index and complex gain (18 B), plus
+        # short-lived temporaries; measured 80 B, where side copies of the
+        # estimates and bounds beside the rows traced 105 B
+        growth = _block_peak(100)[0] - _block_peak(10)[0]
+        assert growth < 96 * harness.BLOCK_FRAMES * (100 - 10)
 
 
 class TestSweep:

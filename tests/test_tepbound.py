@@ -268,7 +268,7 @@ class TestUpperBound:
         n_tx = 8
         grid = build_grid(n_tx)
         cb = build_codebook(grid, n_tx)  # orthonormal codebook
-        beams = BeamMatrix.from_matrix(cb.matrix[:, :2])
+        beams = BeamMatrix(phases=np.angle(cb.matrix[:, :2]))
         sensing = sensing_matrix(beams, cb)
         # a point-mass prior zeroes every competitor weight, so the bound is 0
         out = gamma_ub(Belief.point_mass(n_tx, 0).probs, sensing, 1000.0)

@@ -41,15 +41,6 @@ class TestBeamMatrix:
         beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, size=(16, 3)))
         np.testing.assert_allclose(np.abs(beams.matrix), 1 / 4.0, atol=1e-15)
 
-    def test_from_matrix_roundtrip(self):
-        rng = np.random.default_rng(1)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, size=(8, 2)))
-        again = BeamMatrix.from_matrix(beams.matrix)
-        np.testing.assert_allclose(again.matrix, beams.matrix, atol=1e-12)
-
-    def test_from_matrix_rejects_nonconstant_modulus(self):
-        with pytest.raises(ValueError):
-            BeamMatrix.from_matrix(np.array([[1.0], [0.5]]))
 
 
 class TestSensingMatrix:
@@ -59,7 +50,7 @@ class TestSensingMatrix:
         n_tx = 8
         grid = build_grid(n_tx)
         cb = build_codebook(grid, n_tx)
-        beams = BeamMatrix.from_matrix(cb.matrix[:, :2])
+        beams = BeamMatrix(phases=np.angle(cb.matrix[:, :2]))
         s = sensing_matrix(beams, cb)
         expected = np.sqrt(n_tx) * np.hstack([np.eye(2), np.zeros((2, n_tx - 2))])
         np.testing.assert_allclose(s.matrix, expected, atol=1e-12)
