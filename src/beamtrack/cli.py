@@ -32,6 +32,18 @@ TRIAL_COLUMNS = ("policy", *TRIAL_DTYPE.names)
 # never held whole, whatever n_frames is.
 CHUNK_ROWS = 4096
 
+# glibc's mallopt parameters (malloc.h) and the values main pins them to.
+# Left dynamic, both thresholds start at 128 KiB and rise whenever a run
+# frees an mmapped chunk above the mmap threshold (to its size, and twice
+# that), so a run's page faults and peak resident memory depend on which
+# array it happens to free first.  A 4 MiB trim threshold keeps a freed heap
+# top mapped for the next period's temporaries; a 1 MiB mmap threshold keeps
+# larger arrays out of the heap, so that freeing them returns their pages.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+TRIM_THRESHOLD_BYTES = 4 << 20
+MMAP_THRESHOLD_BYTES = 1 << 20
+
 
 class ConfigError(Exception):
     pass
@@ -256,7 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def pin_heap_thresholds() -> None:
+    """Fix glibc's heap trim and mmap thresholds for this process and the
+    workers it forks; a no-op where the C library has no ``mallopt``."""
+    import ctypes  # imported here, as only a run needs it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows loads no None
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    pin_heap_thresholds()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

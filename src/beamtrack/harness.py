@@ -73,6 +73,10 @@ FLOAT_RANGES = {"beta": (0.0, 1.0), "snr_db": (-300.0, 300.0)}
 # beliefs, sensing matrices and noise take O(BLOCK_FRAMES * N * M) memory
 # whatever n_frames is.
 BLOCK_FRAMES = 256
+# Frame-periods (frames x (p_ttis - 1)) a block holds at most.  Its trial
+# rows and walk take about 80 B per frame-period, so beyond p_ttis 1024 a
+# block runs fewer frames instead of growing with p_ttis.
+BLOCK_PERIODS = BLOCK_FRAMES * 1023
 
 # Prior rows (frames x periods, at least one period) a block stores per
 # designed policy before it logs their bounds, so the stored priors do not
@@ -392,11 +396,12 @@ def run_experiment(
     if config.swept is not None:
         raise ValueError(f"{config.swept} must be scalar for a single experiment run")
     workers = _worker_count()
-    # Every worker gets frames; one worker runs blocks of BLOCK_FRAMES.
-    size = min(BLOCK_FRAMES, -(-config.n_frames // workers))
+    n_steps = config.p_ttis - 1
+    # Every worker gets frames; one worker runs blocks of BLOCK_FRAMES, or
+    # fewer when their periods would pass BLOCK_PERIODS.
+    size = min(BLOCK_FRAMES, -(-config.n_frames // workers), max(1, BLOCK_PERIODS // n_steps))
     frames = range(config.n_frames)
     blocks = [frames[lo : lo + size] for lo in frames[::size]]
-    n_steps = config.p_ttis - 1
     trials = {pol: np.empty(len(frames) * n_steps, TRIAL_DTYPE) for pol in config.policies}
 
     def fill(parts):
@@ -417,10 +422,12 @@ def run_experiment(
         with ProcessPoolExecutor(workers) as pool:
             fill(pool.map(run, blocks))
 
+    # Rows run frame by frame, period by period, so column k of a policy's
+    # (n_frames, p_ttis - 1) rows holds every frame's period tti = k + 2.
     summary = [
-        _summary_row(f"tti={int(tti)}", pol, trials[pol][trials[pol]["tti"] == tti])
+        _summary_row(f"tti={step + 2}", pol, trials[pol].reshape(-1, n_steps)[:, step])
         for pol in config.policies
-        for tti in np.unique(trials[pol]["tti"])
+        for step in range(n_steps)
     ]
     return trials, summary
 

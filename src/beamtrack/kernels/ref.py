@@ -181,23 +181,21 @@ def _mu(delta, thr, nl_low, nl_high, ratio_low, ratio_high) -> np.ndarray:
     delta/nl is <= 0 on both branches, so its exp lies in [0, 1]; and both
     ``ratio * tail`` and ``1 + ratio * tail`` then round into [0, 1].
 
-    Tail arguments below ``EXP_FLOOR`` give a tail of exactly 0.  This
-    keeps numpy's exp off its slow underflow and subnormal path, and moves
-    mu only where exp(delta/nl) < e**EXP_FLOOR, and then by less than
-    that.  A bound over S hypotheses, whose prior sums to at most 1, so
-    moves by less than (S - 1) * e**EXP_FLOOR absolute: below 1e-300 for
-    S up to 10**4.  No run passes an infinite delta, since the bound restricts
-    every prior to its support first; one makes a -inf or nan (inf/inf)
-    argument, which counts as below the floor, so mu takes its limits: 0
-    below and 1 above.
+    Tail arguments below ``EXP_FLOOR`` are set to -inf, whose exp is
+    exactly 0.  This keeps numpy's exp off its slow underflow and subnormal
+    path, and moves mu only where exp(delta/nl) < e**EXP_FLOOR, and then by
+    less than that.  A bound over S hypotheses, whose prior sums to at most
+    1, so moves by less than (S - 1) * e**EXP_FLOOR absolute: below 1e-300
+    for S up to 10**4.  No run passes an infinite delta, since the bound
+    restricts every prior to its support first; one makes a -inf or nan
+    (inf/inf) argument, which fails the floor's comparison and so gives a
+    tail of 0, and mu takes its limits: 0 below and 1 above.
     """
     high = delta > thr
     tail = np.where(high, nl_high, nl_low)
     np.divide(delta, tail, out=tail)
-    live = tail >= EXP_FLOOR
-    np.fmax(tail, EXP_FLOOR, out=tail)
+    tail = np.where(tail >= EXP_FLOOR, tail, -np.inf)
     np.exp(tail, out=tail)
-    tail *= live
     mu = np.where(high, ratio_high, ratio_low)
     mu *= tail
     mu += high

@@ -298,6 +298,13 @@ def optimize_beams(
     )
 
 
+def _present(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the nonnegative integer ``keys``, sorted, as
+    np.unique gives them.  Plain np.unique imports numpy.ma on numpy 2, which
+    costs a run about 0.7 MB of resident memory and 10-17 ms."""
+    return np.flatnonzero(np.bincount(keys.ravel()))
+
+
 @dataclass(frozen=True)
 class DesignedBeams:
     """A beam design bundled with its sensing matrix and bound score."""
@@ -390,7 +397,7 @@ class BeamScheduler:
         """Design every canonical index for each of ``policies``, so that a
         copy of this scheduler, such as a pool worker's, designs nothing."""
         for policy in policies:
-            for key in np.unique(self.model.canonical):
+            for key in _present(self.model.canonical):
                 self.beams_for_index(policy, int(key))
 
     def serve(
@@ -408,10 +415,9 @@ class BeamScheduler:
         keys, shifts = self.model.canonical[prev_est], self.model.shift[prev_est]
         rolled = np.take_along_axis(priors, (np.arange(n) + shifts[:, None]) % n, axis=1)
         # Side by side, window 2n * u + s of the designs' doubled sensing
-        # matrices is design u's with the columns rolled by -s.  Ranks by
-        # comparison: np.unique's inverse argsorts, +0.1 MB beta-sweep RSS.
-        designs = np.unique(keys)
-        which = (keys[:, None] > designs).sum(axis=1)
+        # matrices is design u's with the columns rolled by -s.
+        designs = _present(keys)
+        which = np.searchsorted(designs, keys)
         doubled = [np.tile(self.beams_for_index(policy, k).sensing.matrix, 2) for k in designs]
         windows = np.swapaxes(sliding_window_view(np.hstack(doubled), n, axis=-1), 0, 1)
         return SensingMatrix(matrix=windows[2 * n * which + -shifts % n]), rolled, keys
@@ -427,7 +433,7 @@ class BeamScheduler:
         flat = priors.reshape(-1, priors.shape[-1])
         keys = keys.ravel()
         out = np.empty(len(keys))
-        for key in np.unique(keys):
+        for key in _present(keys):
             rows = np.flatnonzero(keys == key)
             sensing = self.beams_for_index(policy, int(key)).sensing
             out[rows] = kernels.gamma_ub(

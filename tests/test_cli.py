@@ -1,5 +1,6 @@
 """Command-line interface tests: file contracts, determinism, exit codes."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -641,3 +643,58 @@ def test_import_leaves_numpy_random_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def test_runs_load_no_mask_or_pool_modules(tmp_path):
+    # A serial run loads neither numpy.ma (plain np.unique checks for masked
+    # input on numpy 2: 10-17 ms and 0.7 MB) nor the process-pool modules.
+    # Compared with what the import loaded, as numpy 1.x loads numpy.ma with
+    # numpy itself.
+    sim = _write_config(tmp_path, {"policy": list(harness.POLICIES)}, name="sim.json")
+    swp = _write_config(tmp_path, {"snr_db": [0.0, 10.0]}, name="sweep.json")
+    argvs = [
+        ["simulate", "--config", sim, "--out", str(tmp_path / "sim")],
+        ["sweep", "--config", swp, "--param", "snr", "--out", str(tmp_path / "sweep")],
+        ["optimize", "--config", sim, "--prior", "uniform", "--out", str(tmp_path / "b.json")],
+    ]
+    code = (
+        "import json, sys\n"
+        "import beamtrack.cli as cli\n"
+        "loaded = set(sys.modules)\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(set(sys.modules) - loaded)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(beamtrack.__file__).parents[1])}
+    env.pop("BEAMTRACK_THREADS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    codes, added = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    banned = ("numpy.ma", "concurrent.futures", "multiprocessing")
+    assert [m for m in added if any(m == b or m.startswith(b + ".") for b in banned)] == []
+
+
+def test_pins_heap_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli.pin_heap_thresholds()
+    assert calls == [(-1, 4 << 20), (-3, 1 << 20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda name: object()], ids=["oserror", "no-mallopt"])
+def test_runs_without_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cfg = _write_config(tmp_path)
+    argv = ["optimize", "--config", cfg, "--prior", "uniform", "--out", str(tmp_path / "b.json")]
+    assert main(argv) == 0

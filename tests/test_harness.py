@@ -508,6 +508,26 @@ class TestBlockedLoop:
         for pol in cfg.policies:
             assert chunked[pol].tobytes() == whole[pol].tobytes(), pol
 
+    def test_period_budget_shrinks_blocks(self, monkeypatch):
+        # a block holds at most BLOCK_PERIODS frame-periods, so long runs
+        # advance fewer frames per block, and every output byte stays
+        cfg = _config(p_ttis=6, edge_mode="truncate")
+        whole, whole_summary = run_experiment(cfg)
+        sizes = []
+        run_block = harness._run_block
+
+        def recorded(frames, **state):
+            sizes.append(len(frames))
+            return run_block(frames, **state)
+
+        monkeypatch.setattr(harness, "_run_block", recorded)
+        monkeypatch.setattr(harness, "BLOCK_PERIODS", 7 * (cfg.p_ttis - 1) + 3)
+        small, small_summary = run_experiment(cfg)
+        assert sizes == [7] * 5 + [5]
+        for pol in cfg.policies:
+            assert small[pol].tobytes() == whole[pol].tobytes(), pol
+        assert small_summary == whole_summary
+
     @pytest.mark.parametrize("p_ttis", [10, 100])
     def test_block_peak_memory(self, p_ttis):
         # with designs warmed, one full three-policy Fig. 2 block traces a
