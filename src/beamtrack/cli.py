@@ -4,7 +4,8 @@ Configs are JSON files whose keys mirror ExperimentConfig (all optional).
 SNR is given in dB.  Outputs are CSV tables plus a JSON run manifest with
 content digests of every written file.
 
-Exit codes: 0 success, 2 configuration error, 3 output I/O error.
+Exit codes: 0 success, 2 configuration error (a config whose run does not
+fit in memory among them), 3 output I/O error.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"beamtrack: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a valid config whose run cannot be allocated
+        print(f"beamtrack: out of memory: {str(exc) or 'run too large'}", file=sys.stderr)
         return 2
     except IOError as exc:
         print(f"beamtrack: i/o error: {exc}", file=sys.stderr)

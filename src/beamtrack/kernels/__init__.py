@@ -3,9 +3,9 @@
 Both entries are numpy, from :mod:`beamtrack.kernels.ref`, and run one
 folded mu formula: ``gamma_ub`` logs the bound for one prior or a block of
 priors against one sensing matrix, and ``gamma_ub_batch`` scores one prior
-against many sensing matrices at once for beam design.  Each call evaluates
-the generic pairs, both eigenvalues nonzero, densely in a few arrays that it
-reuses, and patches the few other pairs by index.
+against many sensing matrices at once for beam design.  Both end in one
+per-item weighted sum, so a design score's bits do not depend on its batch
+(``tests/test_kernels.py::TestBatchInvariance`` checks it).
 """
 
 from . import ref

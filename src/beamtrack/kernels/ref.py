@@ -14,12 +14,12 @@ vv = g2 + q_n/snr.  D <= 0 by Cauchy-Schwarz, so one eigenvalue is >= 0 and
 the other <= 0.
 
 One formula gives the pair tail mu from these eigenvalues and the log
-threshold delta: :func:`_pair_constants` turns the eigenvalues into
-per-pair constants once, and :func:`_mu` evaluates them at each prior's
-delta.  Both entries run it: :func:`gamma_ub` scores one prior or a block
-of priors against one sensing matrix, for logging, and
-:func:`gamma_ub_batch` one prior against a stack of sensing matrices, for
-beam design.
+threshold delta: :func:`_pair_constants` turns the eigenvalues into per-pair
+constants once, and :func:`_mu` evaluates them at each prior's delta.  Both
+entries run it and end in one per-item weighted sum, :func:`_bounds`, so no
+bound's bits depend on its batch: :func:`gamma_ub` scores one prior or a
+block of priors against one sensing matrix, for logging, and
+:func:`gamma_ub_batch` one prior against a stack of them, for beam design.
 
 The prior-independent pass is dense and reuses its buffers: the
 eigenvalues of every pair are computed in a few arrays of the pair shape,
@@ -269,6 +269,14 @@ def _rows_mu(prior: np.ndarray, consts) -> np.ndarray:
     return mu.reshape(delta.shape)
 
 
+def _bounds(rows: np.ndarray, consts) -> np.ndarray:
+    """Bounds of C-contiguous positive priors (..., U), shaped as
+    :func:`_rows_mu`'s rows: each item's row sums weighted by its prior in a
+    dot product of its own, so no item's bits depend on its batch."""
+    sums = _rows_mu(rows, consts).sum(axis=-1)
+    return np.matmul(rows[..., None, :], sums[..., :, None])[..., 0, 0]
+
+
 def gamma_ub_batch(
     prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
 ) -> np.ndarray:
@@ -276,9 +284,9 @@ def gamma_ub_batch(
 
     ``prior`` is (S,), normally restricted to its support; ``gram_abs2`` is
     (B, S, S) and ``norms_sq`` (B, S), the Gram data of B sensing matrices on
-    the same S columns.  Returns the (B,) unclamped bounds.  Every positive
-    entry counts, without the logging cut, so that beam designs keep their
-    bits.
+    the same S columns.  Returns the (B,) unclamped bounds, each reduced on
+    its own (:func:`_bounds`): it equals its single-item call in any batch,
+    bit for bit.  Every positive entry counts, without the logging cut.
     """
     prior = np.asarray(prior, dtype=float)
     idx = np.flatnonzero(prior > 0.0)
@@ -287,8 +295,7 @@ def gamma_ub_batch(
         prior = prior[idx]
         gram_abs2 = gram_abs2[..., idx[:, None], idx]
         norms_sq = norms_sq[..., idx]
-    mu = _rows_mu(prior, _pair_constants(gram_abs2, norms_sq, snr))
-    return mu.sum(axis=-1) @ prior
+    return _bounds(prior, _pair_constants(gram_abs2, norms_sq, snr))
 
 
 def gamma_ub(
@@ -299,12 +306,10 @@ def gamma_ub(
     prior is scored as a one-row block and gives a float.
 
     Each row is scored on its effective support, the entries above
-    ``LOG_EPS / (2 N^2)``.  Every pair that involves a dropped entry adds at
-    most that much to the bound, since p_k mu_kn <= min(p_k, p_n) by
-    Markov's inequality (see the module docstring), and fewer than 2 N^2
-    pairs do.  Each result so lies within ``LOG_EPS`` absolute, plus a few
-    ulp of rounding, of the bound on every positive entry; a row with no
-    positive entry at or below the threshold keeps those bits exactly.
+    ``LOG_EPS / (2 N^2)``, so each result lies within ``LOG_EPS`` absolute,
+    plus a few ulp of rounding, of the bound on every positive entry (see
+    the module docstring); a row with no positive entry at or below the
+    threshold keeps those bits exactly.
 
     Each of the (F,) results equals the call on that row bit for bit.
     Every prior-independent pair term is computed once, on the union of the
@@ -324,18 +329,14 @@ def gamma_ub(
     consts = _pair_constants(
         gram_abs2[np.ix_(union, union)], np.asarray(norms_sq)[union], snr
     )
-    if support[:, union].all():
-        # One group of every row, as the grouping below would find.
-        groups, first = [np.arange(len(prior))], [0]
-    else:
-        # One bytes key per row: sorting a 1-D void array is much cheaper
-        # than np.unique(axis=0) and yields the same groups.
-        packed = np.ascontiguousarray(np.packbits(support[:, union], axis=1))
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, which, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
+    # One bytes key per row: sorting a 1-D void array is much cheaper than
+    # np.unique(axis=0) and yields the same groups.
+    packed = np.ascontiguousarray(np.packbits(support[:, union], axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
     for rows, row in zip(groups, first):
         pos = np.flatnonzero(support[row, union])
         cols = union[pos]
@@ -347,10 +348,5 @@ def gamma_ub(
         step = max(1, ROW_PAIRS // max(1, len(cols)) ** 2)
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            # Gathered in C order, so each row sum and dot product runs over
-            # contiguous memory; strided operands are reduced in another
-            # order and round differently.
-            block = prior[chunk[:, None], cols]
-            sums = _rows_mu(block, sub).sum(axis=-1)
-            out[chunk] = np.matmul(block[:, None, :], sums[:, :, None])[:, 0, 0]
+            out[chunk] = _bounds(prior[chunk[:, None], cols], sub)
     return out

@@ -301,6 +301,29 @@ class TestSimulate:
         assert f"BEAMTRACK_THREADS must be an integer in [1, {cap}], got {value!r}" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 342. GiB for an array", ""])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_exit_2_on_memory_error(self, tmp_path, capsys, monkeypatch, command, message):
+        # a valid config whose run cannot be allocated (n_frames 2**31 needs
+        # 342 GiB of trial rows); the run is stubbed, as a real allocation
+        # may succeed lazily under memory overcommit and then run for hours
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        run = "run_experiment" if command == "simulate" else "sweep"
+        monkeypatch.setattr(cli, run, out_of_memory)
+        overrides = {"n_frames": 2**31, "policy": ["directional_tep"]}
+        if command == "sweep":
+            overrides["beta"] = [0.1, 0.3]
+        cfg = _write_config(tmp_path, overrides)
+        extra = ["--param", "beta"] if command == "sweep" else []
+        code = main([command, "--config", cfg, *extra, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("beamtrack: out of memory: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_exit_2_on_missing_config(self, tmp_path):
         assert (
             main(
