@@ -50,12 +50,6 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and np.isnan(x):
-        return "nan"
-    return f"{x:.12g}"
-
-
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -95,7 +89,7 @@ def _summary_csv(rows) -> str:
     lines = [",".join(SUMMARY_COLUMNS)]
     for r in rows:
         cells = (getattr(r, name) for name in SUMMARY_COLUMNS)
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -106,8 +100,9 @@ def _trials_pieces(trials_by_policy: dict[str, np.ndarray]):
         trials = trials_by_policy[policy]
         for lo in range(0, len(trials), CHUNK_ROWS):
             chunk = trials[lo : lo + CHUNK_ROWS]
-            # Column-wise: tolist() gives Python ints and floats, which format
-            # as _fmt formats each cell (a NaN of either sign prints "nan").
+            # Column-wise: tolist() gives Python ints and floats, formatted
+            # as summary.csv formats its cells (a NaN of either sign prints
+            # "nan").
             columns = [chunk[name].tolist() for name in TRIAL_COLUMNS[1:]]
             yield "".join(
                 f"{policy},{frame},{tti},{true},{est},{err},{ub:.12g}\n"

@@ -1,17 +1,17 @@
 """Numerical kernels for the error-bound pair loop.
 
-Both entries are numpy, from :mod:`beamtrack.kernels.ref`, and run one
-folded mu formula: ``gamma_ub`` logs the bound for one prior or a block of
-priors against one sensing matrix, and ``gamma_ub_batch`` scores one prior
-against many sensing matrices at once for beam design.  Both end in one
-per-item weighted sum, so a design score's bits do not depend on its batch
-(``tests/test_kernels.py::TestBatchInvariance`` checks it).
+The one entry, ``gamma_ub``, is numpy, from :mod:`beamtrack.kernels.ref`.
+It logs the bound of a block of priors against one sensing matrix, and
+scores one prior against a stack of sensing matrices for beam design, with
+one support rule and one per-item weighted sum, so a design score's bits do
+not depend on its batch (``tests/test_kernels.py::TestBatchInvariance``
+checks it).
 """
 
 from . import ref
-from .ref import gamma_ub, gamma_ub_batch
+from .ref import gamma_ub
 
 # There is no compiled kernel; benchmark records read this to name the path.
 IS_COMPILED = False
 
-__all__ = ["IS_COMPILED", "gamma_ub", "gamma_ub_batch", "ref"]
+__all__ = ["IS_COMPILED", "gamma_ub", "ref"]

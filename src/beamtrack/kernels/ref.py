@@ -15,11 +15,11 @@ the other <= 0.
 
 One formula gives the pair tail mu from these eigenvalues and the log
 threshold delta: :func:`_pair_constants` turns the eigenvalues into per-pair
-constants once, and :func:`_mu` evaluates them at each prior's delta.  Both
-entries run it and end in one per-item weighted sum, :func:`_bounds`, so no
-bound's bits depend on its batch: :func:`gamma_ub` scores one prior or a
-block of priors against one sensing matrix, for logging, and
-:func:`gamma_ub_batch` one prior against a stack of them, for beam design.
+constants once, and :func:`_mu` evaluates them at each prior's delta.  The
+one entry, :func:`gamma_ub`, runs it and ends in one per-item weighted sum,
+:func:`_bounds`, so no bound's bits depend on its batch.  It scores a block
+of priors against one sensing matrix, for logging, and one prior against a
+stack of them, for beam design.
 
 The prior-independent pass is dense and reuses its buffers: the
 eigenvalues of every pair are computed in a few arrays of the pair shape,
@@ -32,17 +32,17 @@ swarm's stack.  Each pair gets the IEEE operations it would get from that
 split applied to every pair, so the constants, and every bound, keep
 their bits.
 
-The logging entry :func:`gamma_ub` scores each prior on its effective
-support, the entries above LOG_EPS / (2 N^2) for a prior of length N, not
-on every positive entry.  mu_kn is the probability that the MAP test
-prefers n over k when k is true; by Markov's inequality on the likelihood
-ratio, mu_kn <= E_k[p_n f_n / (p_k f_k)] = p_n / p_k, so every pair adds
-p_k mu_kn <= min(p_k, p_n) to the bound.  A pair that touches a cut entry
-therefore adds at most LOG_EPS / (2 N^2), and fewer than 2 N^2 pairs do, so
-a logged bound moves by less than LOG_EPS absolute, plus the rounding of
-its shorter sums.  For a prior that sums to 1 that is far below the
-bound's own scale.  The design batch keeps every positive entry, so that
-beam designs keep their bits.
+:func:`gamma_ub` scores each prior, logged or designed for, on its
+effective support, the entries above LOG_EPS / (2 N^2) for a prior of
+length N, not on every positive entry.  mu_kn is the probability that the
+MAP test prefers n over k when k is true; by Markov's inequality on the
+likelihood ratio, mu_kn <= E_k[p_n f_n / (p_k f_k)] = p_n / p_k, so every
+pair adds p_k mu_kn <= min(p_k, p_n) to the bound.  A pair that touches a
+cut entry therefore adds at most LOG_EPS / (2 N^2), and fewer than 2 N^2
+pairs do, so a bound moves by less than LOG_EPS absolute, plus the
+rounding of its shorter sums.  For a prior that sums to 1 that is far
+below the bound's own scale.  A prior with no positive entry at or below
+the threshold keeps the bits of its bound on every positive entry.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ ROW_PAIRS = 1 << 13
 # numpy's exp slows several-fold from about -708 down, where results
 # approach the subnormal range.
 EXP_FLOOR = -700.0
-# Absolute tolerance of a logged bound: gamma_ub drops the hypotheses
+# Absolute tolerance of a bound: gamma_ub drops the hypotheses
 # whose prior is at most LOG_EPS / (2 N^2), which moves the bound by less
 # than this (see the module docstring).
 LOG_EPS = 1e-16
@@ -254,7 +254,8 @@ def _rows_mu(prior: np.ndarray, consts) -> np.ndarray:
 
     Row index is the true hypothesis, column index the competitor.  A (G, U)
     block against one set of constants gives (G, U, U); one (U,) prior
-    against a (B,) stack of constants gives (B, U, U).
+    against a (B,) stack of constants gives (B, U, U), and a (G, 1, U)
+    block against it (G, B, U, U).
     """
     u = prior.shape[-1]
     log_prior = np.log(prior)
@@ -277,33 +278,14 @@ def _bounds(rows: np.ndarray, consts) -> np.ndarray:
     return np.matmul(rows[..., None, :], sums[..., :, None])[..., 0, 0]
 
 
-def gamma_ub_batch(
-    prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
-) -> np.ndarray:
-    """Union bounds of a batch of sensing matrices against one prior.
-
-    ``prior`` is (S,), normally restricted to its support; ``gram_abs2`` is
-    (B, S, S) and ``norms_sq`` (B, S), the Gram data of B sensing matrices on
-    the same S columns.  Returns the (B,) unclamped bounds, each reduced on
-    its own (:func:`_bounds`): it equals its single-item call in any batch,
-    bit for bit.  Every positive entry counts, without the logging cut.
-    """
-    prior = np.asarray(prior, dtype=float)
-    idx = np.flatnonzero(prior > 0.0)
-    if len(idx) < len(prior):
-        # zero-prior hypotheses contribute no pair, as true or as competitor
-        prior = prior[idx]
-        gram_abs2 = gram_abs2[..., idx[:, None], idx]
-        norms_sq = norms_sq[..., idx]
-    return _bounds(prior, _pair_constants(gram_abs2, norms_sq, snr))
-
-
 def gamma_ub(
     prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
 ) -> np.ndarray | float:
     """Union upper bounds on the tracking error probability (unclamped) of
-    an (F, N) block of priors against one sensing matrix, as (F,); a (N,)
-    prior is scored as a one-row block and gives a float.
+    an (F, N) block of priors against the Gram data ``gram_abs2`` (..., N, N)
+    and ``norms_sq`` (..., N) of one sensing matrix or of a stack of them,
+    as (F, ...).  A (N,) prior drops the row axis, so against one sensing
+    matrix it gives a float.
 
     Each row is scored on its effective support, the entries above
     ``LOG_EPS / (2 N^2)``, so each result lies within ``LOG_EPS`` absolute,
@@ -311,42 +293,51 @@ def gamma_ub(
     the module docstring); a row with no positive entry at or below the
     threshold keeps those bits exactly.
 
-    Each of the (F,) results equals the call on that row bit for bit.
-    Every prior-independent pair term is computed once, on the union of the
-    rows' effective supports.  Rows are scored in groups of equal effective
-    support, each group on that support and at most ``ROW_PAIRS`` pairs at a
-    time.
+    Each result equals the call on its row and its sensing matrix alone,
+    bit for bit.  Every prior-independent pair term is computed once, on
+    the union of the rows' effective supports.  A block of rows is scored in
+    groups of equal effective support, each group on that support and at
+    most ``ROW_PAIRS`` pairs at a time.
     """
     prior = np.asarray(prior, dtype=float)
-    if prior.ndim == 1:
-        return float(gamma_ub(prior[None], gram_abs2, norms_sq, snr)[0])
-    support = prior > LOG_EPS / (2 * prior.shape[-1] ** 2)
+    block = prior.reshape(-1, prior.shape[-1])
+    norms_sq = np.asarray(norms_sq, dtype=float)
+    stack = norms_sq.shape[:-1]
+    support = block > LOG_EPS / (2 * block.shape[-1] ** 2)
     union = np.flatnonzero(support.any(axis=0))
-    out = np.zeros(len(prior))
-    if not len(union):
-        return out
     u = len(union)
-    consts = _pair_constants(
-        gram_abs2[np.ix_(union, union)], np.asarray(norms_sq)[union], snr
-    )
-    # One bytes key per row: sorting a 1-D void array is much cheaper than
-    # np.unique(axis=0) and yields the same groups.
-    packed = np.ascontiguousarray(np.packbits(support[:, union], axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, which, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
-    for rows, row in zip(groups, first):
-        pos = np.flatnonzero(support[row, union])
-        cols = union[pos]
-        if len(pos) == u:
-            sub = consts
-        else:
-            pairs = (pos[:, None] * u + pos).ravel()
-            sub = tuple(term[pairs] for term in consts)
-        step = max(1, ROW_PAIRS // max(1, len(cols)) ** 2)
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo : lo + step]
-            out[chunk] = _bounds(prior[chunk[:, None], cols], sub)
-    return out
+    if u < block.shape[-1]:
+        # cut hypotheses contribute no pair, as true or as competitor
+        gram_abs2 = gram_abs2[..., union[:, None], union]
+        norms_sq = norms_sq[..., union]
+    consts = _pair_constants(gram_abs2, norms_sq, snr)
+    out = np.zeros((len(block), *stack))
+    if len(block) == 1:
+        # one row, as in every design call: its support is the union
+        out[0] = _bounds(block[0, union], consts)
+    elif u:
+        # One bytes key per row: sorting a 1-D void array is much cheaper
+        # than np.unique(axis=0) and yields the same groups.
+        packed = np.ascontiguousarray(np.packbits(support[:, union], axis=1))
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, which, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
+        for rows, row in zip(groups, first):
+            pos = np.flatnonzero(support[row, union])
+            cols = union[pos]
+            if len(pos) == u:
+                sub = consts
+            else:
+                pairs = (pos[:, None] * u + pos).ravel()
+                sub = tuple(term[..., pairs] for term in consts)
+            step = max(1, ROW_PAIRS // (out[0].size * max(1, len(pos)) ** 2))
+            for lo in range(0, len(rows), step):
+                chunk = rows[lo : lo + step]
+                # (G, 1.., S) rows, each against every matrix of the stack
+                lifted = (len(chunk), *(1,) * len(stack), len(pos))
+                out[chunk] = _bounds(block[chunk[:, None], cols].reshape(lifted), sub)
+    if prior.ndim > 1:
+        return out
+    return out[0] if stack else float(out[0])

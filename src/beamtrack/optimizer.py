@@ -107,7 +107,7 @@ def _bound_scores(sensing: np.ndarray, prior: np.ndarray, snr: float) -> np.ndar
     """Union bounds of a (B, M, S) stack of sensing matrices on the prior's
     S support columns, against that (S,) prior."""
     stack = SensingMatrix(matrix=sensing)
-    return kernels.gamma_ub_batch(prior, stack.gram_abs2, stack.col_norms_sq, snr)
+    return kernels.gamma_ub(prior, stack.gram_abs2, stack.col_norms_sq, snr)
 
 
 def _phase_scores(

@@ -20,7 +20,6 @@ from beamtrack.cli import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
     ConfigError,
-    _fmt,
     _trials_pieces,
     _write,
     load_config,
@@ -447,7 +446,7 @@ class TestTrialsCsv:
         for policy in sorted(trials):
             for row in trials[policy]:
                 cells = [str(int(row[name])) for name in TRIAL_COLUMNS[1:-1]]
-                want.append(",".join([policy, *cells, _fmt(float(row["gamma_ub"]))]))
+                want.append(",".join([policy, *cells, f"{float(row['gamma_ub']):.12g}"]))
         got = _streamed(trials, tmp_path / "trials.csv")
         assert got == "\n".join(want) + "\n"
         assert {"nan", "1e-300", "0"} <= {line.split(",")[-1] for line in got.split()}

@@ -409,13 +409,15 @@ class TestBlockedLoop:
         # once, one kernel call per canonical design the block used: per
         # block and designed policy, one per distinct canonical index of the
         # point estimates its periods were designed from (under wrap that is
-        # always one)
+        # always one).  Logging calls pass an (F, N) block; design calls,
+        # one prior against a stack of sensing matrices, are not counted.
         monkeypatch.setattr(harness, "BLOCK_FRAMES", 16)
         calls = []
         gamma_ub = kernels.gamma_ub
 
         def counted(prior, *args):
-            calls.append(len(prior))
+            if np.ndim(prior) == 2:
+                calls.append(len(prior))
             return gamma_ub(prior, *args)
 
         monkeypatch.setattr(kernels, "gamma_ub", counted)

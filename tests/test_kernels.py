@@ -31,18 +31,18 @@ def _random_problem(rng, m, n):
 
 
 def _assert_batch_exact(prior, gram_abs2, norms_sq, snr):
-    """The design batch's pair mu equals the four-case scalar formula and
-    each item's own call, and each bound its own call's, bit for bit;
-    returns the pair eigenvalues."""
+    """A stack's pair mu equals the four-case scalar formula and each
+    item's own call, and each stacked bound its one-item call's, bit for
+    bit; returns the pair eigenvalues."""
     mu = ref._rows_mu(prior, ref._pair_constants(gram_abs2, norms_sq, snr))
-    got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+    got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
     lam1, lam2 = ref.pair_eigs(gram_abs2, norms_sq, snr)
     logdet = np.log1p(snr * norms_sq)
     for b in range(len(mu)):
         assert np.array_equal(mu[b], pair_mu(prior, lam1[b], lam2[b], logdet[b])[0])
         one = ref._rows_mu(prior, ref._pair_constants(gram_abs2[b], norms_sq[b], snr))
         assert np.array_equal(mu[b], one)
-        single = ref.gamma_ub_batch(prior, gram_abs2[b : b + 1], norms_sq[b : b + 1], snr)
+        single = ref.gamma_ub(prior, gram_abs2[b : b + 1], norms_sq[b : b + 1], snr)
         assert got[b] == single[0]
     return lam1, lam2
 
@@ -50,9 +50,9 @@ def _assert_batch_exact(prior, gram_abs2, norms_sq, snr):
 class TestKernelAgreement:
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 16), (2, 64), (4, 24)])
     def test_impls_agree(self, m, n):
-        # the logging entry, on one prior or a block, and the design batch
-        # share the folded formula and the per-item reduction; on priors
-        # without entries under the logging cut each equals the one-prior call
+        # one prior, a block and a one-item stack share the folded formula
+        # and the per-item reduction; on priors without entries under the
+        # cut each equals the one-prior call
         rng = np.random.default_rng(n)
         problems = [_random_problem(rng, m, n) for _ in range(20)]
         snrs = 10.0 ** rng.uniform(-1, 3, size=len(problems))
@@ -60,7 +60,7 @@ class TestKernelAgreement:
             a = kernels.gamma_ub(prior, gram_abs2, norms_sq, snr)
             block = np.vstack([prior, prior[::-1]])
             rows = kernels.gamma_ub(block, gram_abs2, norms_sq, snr)
-            batch = ref.gamma_ub_batch(prior, gram_abs2[None], norms_sq[None], snr)
+            batch = ref.gamma_ub(prior, gram_abs2[None], norms_sq[None], snr)
             assert rows[0] == a
             assert batch[0] == a
 
@@ -71,7 +71,7 @@ class TestKernelAgreement:
         prior /= prior.sum()
         a = kernels.gamma_ub(prior, gram_abs2, norms_sq, 25.0)
         idx = np.flatnonzero(prior)
-        b = ref.gamma_ub_batch(
+        b = ref.gamma_ub(
             prior[idx], gram_abs2[np.ix_(idx, idx)][None], norms_sq[idx][None], 25.0
         )
         assert kernels.gamma_ub(prior[None], gram_abs2, norms_sq, 25.0)[0] == a
@@ -130,10 +130,18 @@ class TestGammaUbBatch:
         _, gram_abs2, norms_sq = self._batch(rng, m, 12)
         prior = rng.random(12)
         prior /= prior.sum()
-        got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
         assert got.shape == (4,)
         for b in range(4):
             assert got[b] == ref.gamma_ub(prior, gram_abs2[b], norms_sq[b], snr)
+        # a block against the stack, rows first, then the stack's items; two
+        # rows share a support, and so a step
+        other = prior[::-1].copy()
+        other[3] = 0.0
+        rows = ref.gamma_ub(np.vstack([prior, other, prior]), gram_abs2, norms_sq, snr)
+        assert rows.shape == (3, 4) and np.array_equal(rows[[0, 2]], [got, got])
+        for b in range(4):
+            assert rows[1, b] == ref.gamma_ub(other, gram_abs2[b], norms_sq[b], snr)
 
     @pytest.mark.parametrize("snr", SNRS)
     def test_prior_with_zero_entries(self, snr):
@@ -146,8 +154,8 @@ class TestGammaUbBatch:
         prior[7] = 1e-300
         prior /= prior.sum()
         idx = np.flatnonzero(prior)
-        full = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
-        restricted = ref.gamma_ub_batch(
+        full = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
+        restricted = ref.gamma_ub(
             prior[idx], gram_abs2[:, idx][:, :, idx], norms_sq[:, idx], snr
         )
         for b in range(4):
@@ -165,10 +173,31 @@ class TestGammaUbBatch:
         prior = rng.random(6)
         prior[2] = 0.0
         prior /= prior.sum()
-        got = ref.gamma_ub_batch(prior, gram_abs2, norms_sq, snr)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
         for b in range(4):
             expected = loop_gamma_ub(s[b], prior, snr)
             assert got[b] == pytest.approx(expected, rel=1e-12 * max(1.0, snr))
+
+    @pytest.mark.parametrize("snr", SNRS)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_cut_entry_within_log_eps_of_oracle(self, m, snr):
+        # a design prior with an entry in (0, LOG_EPS / (2 N^2)]: its stacked
+        # score drops that entry, as true hypothesis and as competitor, and
+        # lies within LOG_EPS, plus the rounding tolerance above, of the
+        # dense loop on every positive entry
+        rng = np.random.default_rng(20 + m)
+        s, gram_abs2, norms_sq = self._batch(rng, m, 6)
+        prior = rng.random(6)
+        prior /= prior.sum()
+        prior[4] = ref.LOG_EPS / (2 * 6**2)
+        got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
+        kept = prior.copy()
+        kept[4] = 0.0
+        assert np.array_equal(got, ref.gamma_ub(kept, gram_abs2, norms_sq, snr))
+        for b in range(4):
+            expected = loop_gamma_ub(s[b], prior, snr)
+            tol = ref.LOG_EPS + 1e-12 * max(1.0, snr) * expected
+            assert abs(got[b] - expected) <= tol
 
     @pytest.mark.parametrize("n,n_tx,sigma", [(16, 4, 2), (64, 32, 5)])
     def test_directional_rows(self, n, n_tx, sigma):
@@ -222,8 +251,8 @@ class TestBatchInvariance:
 
     At the beta 0.5, 20 dB design point of the Fig. 2 codebook (11-point
     support), every item of a 50-particle swarm and of the 2016 two-codeword
-    subsets equals its one-item ``gamma_ub_batch`` call and its score in
-    batches of another size, bit for bit."""
+    subsets equals its one-item stacked ``gamma_ub`` call and its score in
+    stacks of another size, bit for bit."""
 
     SNR = 100.0
 
@@ -241,7 +270,7 @@ class TestBatchInvariance:
         gram_abs2, norms_sq = sensing.gram_abs2, sensing.col_norms_sq
         return np.concatenate(
             [
-                ref.gamma_ub_batch(
+                ref.gamma_ub(
                     probs, gram_abs2[lo : lo + size], norms_sq[lo : lo + size], self.SNR
                 )
                 for lo in range(0, len(stack), size)
@@ -400,10 +429,10 @@ class TestGammaUbRows:
         assert ties > 0
         got = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         assert got.tolist() == [ref.gamma_ub(r, gram_abs2, norms_sq, 10.0) for r in prior]
-        # the design batch on a stack of this matrix and two variants, one
-        # with a column far from both rows (its pairs' eigenvalues lie within
-        # ZERO_EIG_RTOL of zero) and one with a zero column, against a prior
-        # with entries down to 1e-300
+        # a stacked call on this matrix and two variants, one with a column
+        # far from both rows (its pairs' eigenvalues lie within ZERO_EIG_RTOL
+        # of zero) and one with a zero column, against a prior with entries
+        # down to 1e-300
         stack = np.stack([s, s, s])
         stack[1, :, 3] *= 1e-9
         stack[2, :, 4] = 0.0
@@ -530,19 +559,21 @@ class TestEffectiveSupport:
 
     @pytest.mark.parametrize("snr", [1e-3, 1.0, 10.0, 1e3, 1e6])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_within_tolerance_of_uncut_batch(self, m, snr):
-        # the design batch keeps every positive entry; the logged bound on
-        # the effective support is within LOG_EPS plus rounding of it
+    def test_within_tolerance_of_uncut_batch(self, m, snr, monkeypatch):
+        # against a one-item stack scored on every positive entry (LOG_EPS =
+        # 0), the bound on the effective support is within LOG_EPS plus
+        # rounding
         rng = np.random.default_rng(m)
         n = 64
         s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         gram_abs2, norms_sq = gram_data(s)
         prior = self._tailed_priors(rng, n)
         assert (prior <= ref.LOG_EPS / (2 * n * n)).any(axis=1).sum() >= 6
-        got = ref.gamma_ub(prior, gram_abs2, norms_sq, snr)
+        got, eps = ref.gamma_ub(prior, gram_abs2, norms_sq, snr), ref.LOG_EPS
+        monkeypatch.setattr(ref, "LOG_EPS", 0.0)
         for row, value in zip(prior, got):
-            want = ref.gamma_ub_batch(row, gram_abs2[None], norms_sq[None], snr)[0]
-            assert abs(value - want) <= ref.LOG_EPS + 4 * np.spacing(want)
+            want = ref.gamma_ub(row, gram_abs2[None], norms_sq[None], snr)[0]
+            assert abs(value - want) <= eps + 4 * np.spacing(want)
 
     @pytest.mark.parametrize("snr", [1e-3, 10.0, 1e6])
     def test_rows_above_cut_keep_bits(self, snr, monkeypatch):

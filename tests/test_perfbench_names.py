@@ -8,7 +8,11 @@ renaming or deleting one would blank a per-layer metric without an error.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import beamtrack
@@ -42,6 +46,34 @@ def test_traced_names_exist():
     child.install(recorder)
     # beams_for_prior left the scheduler long ago; ROADMAP item 1 tracks it
     assert recorder.missing == [("BeamScheduler", "beams_for_prior")]
+
+
+def test_design_calls_traced(tmp_path):
+    # Beam design scores through the traced kernel entry: one call per swarm
+    # evaluation round and one per codeword-subset batch, on the tiny sweep
+    # that CI runs through the console script
+    tiny = {
+        "n_grid": 16, "n_tx": 4, "sigma": 2, "p_ttis": 3, "n_frames": 2,
+        "psa": {"swarm_size": 4, "max_iters": 5, "stall_iters": 3}, "beta": [0.1, 0.3],
+    }
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(tiny))
+    argv = ["sweep", "--param", "beta", "--config", str(config), "--out", str(tmp_path / "out")]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"argvs": [argv], "trace": True}))
+    env = {**os.environ, "PYTHONPATH": str(Path(beamtrack.__file__).parents[1])}
+    env.pop("BEAMTRACK_THREADS", None)
+    subprocess.run(
+        [sys.executable, str(CHILD), str(job), str(tmp_path / "result.json")],
+        capture_output=True, check=True, env=env,
+    )
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["codes"] == [0]
+    layers = result["layers"]
+    calls = layers["kernels.gamma_ub.design.calls"]
+    rounds = layers["optimizer.optimize_beams.evaluations"] / tiny["psa"]["swarm_size"]
+    assert calls > 0
+    assert calls == rounds + layers["optimizer.select_directional_pair.subsets"]
 
 
 def test_read_names_exist():

@@ -223,7 +223,7 @@ class TestDeltaThreshold:
         mat[:, 3] = mat[:, 0]
         moved = SensingMatrix(matrix=mat)
         assert gamma_ub(probs, moved, 5.0) == base
-        batch = kernels.gamma_ub_batch(
+        batch = kernels.gamma_ub(
             probs, moved.gram_abs2[None], moved.col_norms_sq[None], 5.0
         )
         assert batch[0] == pytest.approx(base, rel=1e-12)
@@ -240,10 +240,10 @@ class TestDeltaThreshold:
         full = SensingMatrix(matrix=mat)
         cut = SensingMatrix(matrix=mat[:, idx])
         assert gamma_ub(probs, full, 9.0) == gamma_ub(probs[idx], cut, 9.0)
-        both = kernels.gamma_ub_batch(
+        both = kernels.gamma_ub(
             probs, full.gram_abs2[None], full.col_norms_sq[None], 9.0
         )
-        alone = kernels.gamma_ub_batch(
+        alone = kernels.gamma_ub(
             probs[idx], cut.gram_abs2[None], cut.col_norms_sq[None], 9.0
         )
         assert both[0] == alone[0]
