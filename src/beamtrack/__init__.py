@@ -24,7 +24,6 @@ from .optimizer import (
 )
 from .tracking import (
     Belief,
-    BeamMatrix,
     DegenerateBeliefError,
     PilotObservation,
     SensingMatrix,

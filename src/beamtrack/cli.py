@@ -196,7 +196,7 @@ def cmd_optimize(args) -> int:
         "snr_db": float(config.snr_db),
         "prior_spec": args.prior,
         "seed": config.psa.seed,
-        "phases": [[float(f"{v:.17g}") for v in row] for row in result.beams.phases],
+        "phases": [[float(f"{v:.17g}") for v in row] for row in result.phases],
         "gamma_ub": result.score,
         "gamma_ub_clamped": min(max(result.score, 0.0), 1.0),
         "evaluations": result.evaluations,

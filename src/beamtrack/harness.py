@@ -20,7 +20,6 @@ from .arraymodel import build_codebook, build_grid, build_markov
 from .optimizer import BeamScheduler, PsaConfig, check_int, check_real
 from .tracking import (
     Belief,
-    BeamMatrix,
     PilotObservation,
     SensingMatrix,
     map_estimate,
@@ -197,8 +196,8 @@ def beam_cycling_probes(n_tx: int, codebook) -> SensingMatrix:
     Probes are steering vectors at a uniform grid of n_tx angles (mutually
     orthogonal), one channel use per direction.
     """
-    beams = BeamMatrix(phases=np.outer(np.arange(n_tx), build_grid(n_tx)))
-    return sensing_matrix(beams, codebook)
+    phases = np.outer(np.arange(n_tx), build_grid(n_tx))
+    return sensing_matrix(phases, codebook.matrix)
 
 
 def beam_cycling_estimate(y: np.ndarray, sensing: SensingMatrix) -> int | np.ndarray:

@@ -57,10 +57,18 @@ ZERO_EIG_RTOL = 1e-10
 # Cancellation noise in the gap would otherwise be sqrt-amplified into a
 # spurious nonzero eigenvalue pair.
 RANK_DEFICIENT_RTOL = 1e-12
-# Hypothesis pairs (rows x support x support) per prior-dependent step of
-# gamma_ub.  The step holds at most six arrays of this many doubles at
-# once (measured), so this caps them near 0.4 MB whatever the block size.
-ROW_PAIRS = 1 << 13
+# Hypothesis pairs per step of a bound-kernel call: rows x support x support
+# per prior-dependent step of gamma_ub when logging a block, and stack x
+# support x support per design call (``optimizer._batch_size``).  A logging
+# step holds at most six arrays of this many doubles at once (measured), so
+# this caps them near 0.4 MB whatever the block size.  A design call
+# allocates about 15 such arrays and holds at most about ten at once on a
+# swarm's stack, 12.5 on codeword subsets, whose non-generic pairs are
+# patched (measured), so this caps them near 0.8 MB whatever the swarm size,
+# subset count or prior support; at 1 << 16 the kernel's temporaries raised
+# the peak RSS of a 64-point beta sweep by 23%.  A 50-particle swarm on an
+# 11-point support still fits in one design call.
+STEP_PAIRS = 1 << 13
 # Smallest tail argument whose exp is computed; below it the tail is 0.
 # numpy's exp slows several-fold from about -708 down, where results
 # approach the subnormal range.
@@ -297,7 +305,7 @@ def gamma_ub(
     bit for bit.  Every prior-independent pair term is computed once, on
     the union of the rows' effective supports.  A block of rows is scored in
     groups of equal effective support, each group on that support and at
-    most ``ROW_PAIRS`` pairs at a time.
+    most ``STEP_PAIRS`` pairs at a time.
     """
     prior = np.asarray(prior, dtype=float)
     block = prior.reshape(-1, prior.shape[-1])
@@ -332,7 +340,7 @@ def gamma_ub(
             else:
                 pairs = (pos[:, None] * u + pos).ravel()
                 sub = tuple(term[..., pairs] for term in consts)
-            step = max(1, ROW_PAIRS // (out[0].size * max(1, len(pos)) ** 2))
+            step = max(1, STEP_PAIRS // (out[0].size * max(1, len(pos)) ** 2))
             for lo in range(0, len(rows), step):
                 chunk = rows[lo : lo + step]
                 # (G, 1.., S) rows, each against every matrix of the stack

@@ -1,8 +1,11 @@
 """Training-beam design: particle-swarm search and the directional baseline.
 
 The search space is the raw phase matrix of the beams, so the per-entry
-modulus constraint holds by construction.  The objective is the union upper
-bound on the tracking error probability for the design prior.
+modulus constraint holds by construction; a design is its (n_tx, M) phase
+matrix, and :func:`beamtrack.tracking.sensing_matrix` builds every sensing
+matrix from phases, one swarm batch or one design at a time.  The objective
+is the union upper bound on the tracking error probability for the design
+prior.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .arraymodel import Codebook, MarkovModel
-from .tracking import Belief, BeamMatrix, SensingMatrix, sensing_matrix
+from .tracking import Belief, SensingMatrix, sensing_matrix
 
 __all__ = [
     "PsaConfig",
     "OptimizationResult",
     "DesignedBeams",
-    "beam_objective",
     "optimize_beams",
     "select_directional_pair",
     "directional_mode",
@@ -32,14 +34,6 @@ __all__ = [
 
 # Codeword-subset search is exhaustive up to this many candidates, else greedy.
 MAX_EXHAUSTIVE_CANDIDATES = 1_000_000
-# Hypothesis pairs (batch x support x support) per batched bound-kernel call.
-# A call allocates about 15 arrays of this many doubles and holds at most
-# about ten at once on a swarm's stack, 12.5 on codeword subsets, whose
-# non-generic pairs are patched (measured), so this caps them near 0.8 MB
-# whatever the swarm size, subset count or prior support; at 1 << 16 the
-# kernel's temporaries raised the peak RSS of a 64-point beta sweep by 23%.
-# A 50-particle swarm on an 11-point support still fits in one call.
-BATCH_PAIRS = 1 << 13
 
 
 def check_int(name: str, value, lo: int, hi: float = np.inf) -> None:
@@ -86,53 +80,47 @@ class PsaConfig:
         check_int("psa.seed", self.seed, 0)
         check_int("psa.stall_iters", self.stall_iters, 1)
         check_real("psa.inertia", self.inertia, 0.0, 1.0, open_lo=True)
-        for name in ("cognitive_coeff", "social_coeff", "velocity_clamp"):
+        for name in ("cognitive_coeff", "social_coeff"):
             check_real(f"psa.{name}", getattr(self, name), 0.0, open_lo=True)
+        # the initial velocities are uniform on [-clamp, clamp], whose width
+        # must stay a finite double
+        check_real(
+            "psa.velocity_clamp", self.velocity_clamp, 0.0, np.finfo(float).max / 2,
+            open_lo=True,
+        )
         check_real("psa.stall_tol", self.stall_tol, 0.0)
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    beams: BeamMatrix
+    phases: np.ndarray
     score: float
     history: tuple[float, ...]
     evaluations: int
 
 
 def _batch_size(n_support: int) -> int:
-    return max(1, BATCH_PAIRS // (n_support * n_support))
+    return max(1, kernels.ref.STEP_PAIRS // (n_support * n_support))
 
 
-def _bound_scores(sensing: np.ndarray, prior: np.ndarray, snr: float) -> np.ndarray:
+def _bound_scores(stack: SensingMatrix, prior: np.ndarray, snr: float) -> np.ndarray:
     """Union bounds of a (B, M, S) stack of sensing matrices on the prior's
     S support columns, against that (S,) prior."""
-    stack = SensingMatrix(matrix=sensing)
     return kernels.gamma_ub(prior, stack.gram_abs2, stack.col_norms_sq, snr)
 
 
 def _phase_scores(
     phases: np.ndarray, columns: np.ndarray, prior: np.ndarray, snr: float
 ) -> np.ndarray:
-    """Union bounds of the (B, n_tx * M) phase vectors, scored in batches.
+    """Union bounds of the (B, n_tx, M) phase matrices, scored in batches.
 
     ``columns`` holds the codebook columns on the prior's support and
     ``prior`` the matching (S,) probabilities.
     """
-    n_tx = columns.shape[0]
     scores = np.empty(len(phases))
     step = _batch_size(len(prior))
-    shape = (min(step, len(phases)), n_tx, phases.shape[1] // n_tx)
-    work = np.empty(shape, dtype=complex)
     for lo in range(0, len(phases), step):
-        block = phases[lo : lo + step]
-        # sqrt(n_tx) * conj(exp(1j * block) / sqrt(n_tx)), in place; dividing
-        # by sqrt(n_tx) and multiplying by its reciprocal give the same bits
-        beams = np.multiply(1j, block.reshape(len(block), *shape[1:]), out=work[: len(block)])
-        np.exp(beams, out=beams)
-        beams *= 1.0 / np.sqrt(n_tx)
-        np.conjugate(beams, out=beams)
-        beams *= np.sqrt(n_tx)
-        sensing = np.swapaxes(beams, 1, 2) @ columns
+        sensing = sensing_matrix(phases[lo : lo + step], columns)
         scores[lo : lo + step] = _bound_scores(sensing, prior, snr)
     return scores
 
@@ -141,15 +129,6 @@ def _support(prior: Belief) -> tuple[np.ndarray, np.ndarray]:
     """Support indices of the prior and its probabilities on them."""
     idx = np.flatnonzero(prior.probs > 0.0)
     return idx, prior.probs[idx]
-
-
-def beam_objective(
-    beams: BeamMatrix, codebook: Codebook, prior: Belief, snr: float
-) -> float:
-    """Union-bound score of a beam matrix against a design prior."""
-    idx, probs = _support(prior)
-    phases = beams.phases.reshape(1, -1)
-    return float(_phase_scores(phases, codebook.matrix[:, idx], probs, snr)[0])
 
 
 def steering_phases(codebook: Codebook, indices) -> np.ndarray:
@@ -194,7 +173,7 @@ def select_directional_pair(
         best, best_score = (), np.inf
         while block := list(islice(subsets, step)):
             block = np.array(block, dtype=int)
-            scores = _bound_scores(rows[block], probs, snr)
+            scores = _bound_scores(SensingMatrix(matrix=rows[block]), probs, snr)
             k = int(np.argmin(scores))
             if scores[k] < best_score:
                 best, best_score = tuple(int(i) for i in block[k]), float(scores[k])
@@ -224,25 +203,17 @@ def optimize_beams(
     result never scores worse than either candidate.  Deterministic given
     ``config.seed``.
     """
-    if m_beams < 1:
-        raise ValueError("m_beams must be >= 1")
-    n_tx = codebook.n_tx
-    dim = n_tx * m_beams
+    if not 1 <= m_beams <= codebook.n_points:
+        raise ValueError("m_beams must lie in [1, n_points]")
+    shape = (config.swarm_size, codebook.n_tx, m_beams)
     rng = np.random.default_rng(config.seed)
 
-    seeds = [steering_phases(codebook, directional).reshape(dim)]
-    top_modes = np.argsort(prior.probs, kind="stable")[::-1][:m_beams]
-    if len(top_modes) == m_beams:
-        seeds.append(steering_phases(codebook, np.sort(top_modes)).reshape(dim))
-    seeds = seeds[: config.swarm_size]
-
-    positions = rng.uniform(0.0, 2.0 * np.pi, size=(config.swarm_size, dim))
-    for i, s in enumerate(seeds):
-        positions[i] = s
-    velocities = rng.uniform(
-        -config.velocity_clamp, config.velocity_clamp, size=(config.swarm_size, dim)
-    )
-    velocities[: len(seeds)] = 0.0
+    top_modes = np.sort(np.argsort(prior.probs, kind="stable")[::-1][:m_beams])
+    positions = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    positions[0] = steering_phases(codebook, directional)
+    positions[1] = steering_phases(codebook, top_modes)
+    velocities = rng.uniform(-config.velocity_clamp, config.velocity_clamp, size=shape)
+    velocities[:2] = 0.0
 
     idx, probs = _support(prior)
     columns = codebook.matrix[:, idx]
@@ -289,9 +260,8 @@ def optimize_beams(
         if stall >= config.stall_iters:
             break
 
-    beams = BeamMatrix(phases=global_best.reshape(n_tx, m_beams))
     return OptimizationResult(
-        beams=beams,
+        phases=global_best,
         score=global_score,
         history=tuple(history),
         evaluations=evaluations,
@@ -307,9 +277,10 @@ def _present(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignedBeams:
-    """A beam design bundled with its sensing matrix and bound score."""
+    """A beam design's phases bundled with its sensing matrix and bound
+    score."""
 
-    beams: BeamMatrix
+    phases: np.ndarray
     sensing: SensingMatrix
     score: float
     codeword_indices: tuple[int, ...] | None = None
@@ -361,25 +332,17 @@ class BeamScheduler:
             )
         indices, score = self._searches[index]
         if policy == "directional_tep":
-            beams = BeamMatrix(phases=steering_phases(self.codebook, indices))
-            return DesignedBeams(
-                beams=beams,
-                sensing=sensing_matrix(beams, self.codebook),
-                score=score,
-                codeword_indices=indices,
+            phases = steering_phases(self.codebook, indices)
+        else:
+            result = optimize_beams(
+                prior, self.codebook, self.snr, self.m_beams, self.psa_config, indices
             )
-        result = optimize_beams(
-            prior,
-            self.codebook,
-            self.snr,
-            self.m_beams,
-            self.psa_config,
-            indices,
-        )
+            phases, score, indices = result.phases, result.score, None
         return DesignedBeams(
-            beams=result.beams,
-            sensing=sensing_matrix(result.beams, self.codebook),
-            score=result.score,
+            phases=phases,
+            sensing=sensing_matrix(phases, self.codebook.matrix),
+            score=score,
+            codeword_indices=indices,
         )
 
     def beams_for_index(self, policy: str, index: int) -> DesignedBeams:

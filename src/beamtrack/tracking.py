@@ -2,9 +2,12 @@
 
 One tracking period: propagate the previous posterior through the Markov
 chain, transmit M training beams, and update the belief from the received
-pilot vector.  All likelihood algebra uses the Sherman-Morrison and
-determinant-lemma closed forms of the rank-one-plus-identity covariance (see
-:func:`log_likelihood_scores`) and runs in the log domain.
+pilot vector.  A beam design is its (n_tx, M) phase matrix, and
+:func:`sensing_matrix` alone turns phases into the sensing matrix that the
+tracker and the bound read.  All likelihood algebra uses the
+Sherman-Morrison and determinant-lemma closed forms of the
+rank-one-plus-identity covariance (see :func:`log_likelihood_scores`) and
+runs in the log domain.
 
 Every step also takes a block of F frames at once: an (F, N) belief, (F, M)
 pilot vectors and an (F, M, N) sensing matrix, one row or slice per frame.
@@ -13,16 +16,15 @@ Each frame's row is bitwise equal to what the single-frame call returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .arraymodel import Codebook, MarkovModel
+from .arraymodel import MarkovModel
 
 __all__ = [
     "DegenerateBeliefError",
-    "BeamMatrix",
     "SensingMatrix",
     "Belief",
     "PilotObservation",
@@ -36,28 +38,6 @@ __all__ = [
 
 class DegenerateBeliefError(ValueError):
     """Raised when a belief update starts from an all-zero prior."""
-
-
-@dataclass(frozen=True)
-class BeamMatrix:
-    """n_tx x M training beams; every entry has modulus 1/sqrt(n_tx)."""
-
-    phases: np.ndarray
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        phases = np.atleast_2d(np.asarray(self.phases, dtype=float))
-        object.__setattr__(self, "phases", phases)
-        n_tx = phases.shape[0]
-        object.__setattr__(self, "matrix", np.exp(1j * phases) / np.sqrt(n_tx))
-
-    @property
-    def n_tx(self) -> int:
-        return self.phases.shape[0]
-
-    @property
-    def m_beams(self) -> int:
-        return self.phases.shape[1]
 
 
 @dataclass(frozen=True)
@@ -85,15 +65,28 @@ class SensingMatrix:
         return np.abs(gram) ** 2
 
 
-def sensing_matrix(beams: BeamMatrix, codebook: Codebook) -> SensingMatrix:
-    """sqrt(n_tx) * F^H * A for training beams F and codebook A."""
-    if beams.n_tx != codebook.n_tx:
+def sensing_matrix(phases: np.ndarray, columns: np.ndarray) -> SensingMatrix:
+    """sqrt(n_tx) * F^H * A for the training beams F = exp(j * phases) / sqrt(n_tx)
+    and the codebook columns A.
+
+    ``phases`` is one (n_tx, M) design or a (B, n_tx, M) stack of them, and
+    ``columns`` an (n_tx, S) selection of codebook columns.  This is the one
+    place that turns beam phases into beams, so every entry has modulus
+    1/sqrt(n_tx); a stacked design's sensing matrix equals the one built
+    from it alone, bit for bit.
+    """
+    phases = np.asarray(phases, dtype=float)
+    n_tx = columns.shape[0]
+    if phases.shape[-2] != n_tx:
         raise ValueError(
-            f"beam rows ({beams.n_tx}) do not match codebook rows ({codebook.n_tx})"
+            f"beam rows ({phases.shape[-2]}) do not match codebook rows ({n_tx})"
         )
-    return SensingMatrix(
-        matrix=np.sqrt(codebook.n_tx) * beams.matrix.conj().T @ codebook.matrix
-    )
+    beams = np.multiply(1j, phases)
+    np.exp(beams, out=beams)
+    beams *= 1.0 / np.sqrt(n_tx)
+    np.conjugate(beams, out=beams)
+    beams *= np.sqrt(n_tx)
+    return SensingMatrix(matrix=np.swapaxes(beams, -1, -2) @ columns)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.cli import main as cli_main
 from beamtrack.harness import ExperimentConfig, run_experiment, sweep
 from beamtrack.tracking import (
-    BeamMatrix,
     PilotObservation,
     SensingMatrix,
     log_likelihood_scores,
@@ -85,8 +84,7 @@ class TestAcceptance:
         cb = build_codebook(grid, 32)
         violations = 0
         for _ in range(1000):
-            beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (32, 2)))
-            s = sensing_matrix(beams, cb).matrix
+            s = sensing_matrix(rng.uniform(0, 2 * np.pi, (32, 2)), cb.matrix).matrix
             k, n = rng.choice(64, size=2, replace=False)
             snr = 10.0 ** rng.uniform(-1, 2.5)
             violations += not rank_two(s[:, k], s[:, n], snr)

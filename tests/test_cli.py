@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import beamtrack
-from beamtrack import cli, harness
+from beamtrack import cli, harness, kernels
 from beamtrack.cli import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
@@ -27,8 +27,7 @@ from beamtrack.cli import (
     parse_prior_spec,
 )
 from beamtrack.harness import TRIAL_DTYPE
-from beamtrack.optimizer import beam_objective
-from beamtrack.tracking import BeamMatrix
+from beamtrack.tracking import sensing_matrix
 
 BASE_CONFIG = {
     "n_tx": 8,
@@ -167,6 +166,8 @@ class TestConfigLoading:
         ("psa.social_coeff", {"psa": {"social_coeff": "1.49"}}),
         ("psa.velocity_clamp", {"psa": {"velocity_clamp": "1"}}),
         ("psa.velocity_clamp", {"psa": {"velocity_clamp": float("inf")}}),
+        # finite, but the swarm's initial velocity range [-clamp, clamp] is not
+        ("psa.velocity_clamp", {"psa": {"velocity_clamp": 1e308}}),
         ("psa.seed", {"psa": {"seed": 1.5}}),
         ("psa.stall_iters", {"psa": {"stall_iters": 0}}),
         ("psa.stall_tol", {"psa": {"stall_tol": "x"}}),
@@ -597,8 +598,12 @@ class TestOptimizeCommand:
         # the stored phases reproduce the reported score
         scheduler = harness.prepare(load_config(cfg))["scheduler"]
         prior = parse_prior_spec("propagated:0", scheduler.model)
-        score = beam_objective(BeamMatrix(phases=phases), scheduler.codebook, prior, 10.0)
-        assert score == pytest.approx(payload["gamma_ub"], rel=1e-12)
+        idx = np.flatnonzero(prior.probs)
+        sensing = sensing_matrix(phases, scheduler.codebook.matrix[:, idx])
+        score = kernels.gamma_ub(
+            prior.probs[idx], sensing.gram_abs2, sensing.col_norms_sq, 10.0
+        )
+        assert score == payload["gamma_ub"]
 
     def test_greedy_baseline_beyond_budget(self, tmp_path):
         # comb(64, 5) exceeds the exhaustive budget for the directional

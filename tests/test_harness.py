@@ -25,7 +25,6 @@ from beamtrack.harness import (
 )
 from beamtrack.optimizer import BeamScheduler, PsaConfig
 from beamtrack.tracking import (
-    BeamMatrix,
     Belief,
     PilotObservation,
     SensingMatrix,
@@ -345,8 +344,8 @@ def _reference_frames(config, rebuild=False):
                 shift = model.shift[prev_est]
                 if rebuild:
                     ramp = 2.0 * np.pi * shift / config.n_grid * np.arange(config.n_tx)
-                    ramped = BeamMatrix(phases=designed.beams.phases + ramp[:, None])
-                    sensing = logged = sensing_matrix(ramped, codebook)
+                    ramped = designed.phases + ramp[:, None]
+                    sensing = logged = sensing_matrix(ramped, codebook.matrix)
                     probs = prior.probs
                 else:
                     rolled = np.roll(designed.sensing.matrix, shift, axis=-1)

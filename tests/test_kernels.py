@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from beamtrack import kernels, optimizer
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
 from beamtrack.kernels import ref
-from beamtrack.tracking import BeamMatrix, Belief, SensingMatrix, sensing_matrix
+from beamtrack.tracking import Belief, SensingMatrix, sensing_matrix
 from oracles import (
     folded_mu,
     gram_data,
@@ -280,16 +280,16 @@ class TestBatchInvariance:
     def test_swarm(self, point, monkeypatch):
         codebook, prior, idx = point
         columns, probs = codebook.matrix[:, idx], prior.probs[idx]
-        phases = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, (50, 64))
-        beams = np.conj(np.exp(1j * phases.reshape(50, 32, 2)))
-        stack = np.swapaxes(beams, 1, 2) @ columns
+        phases = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, (50, 32, 2))
+        stack = sensing_matrix(phases, columns).matrix
         whole = self._batched(stack, probs, 50)
         for size in (1, 5, 16):
             assert np.flatnonzero(self._batched(stack, probs, size) != whole).tolist() == []
         # the optimizer's own batching: all 50 in one call, 5 per call, 1 per call
         scores = [optimizer._phase_scores(phases, columns, probs, self.SNR)]
+        assert np.array_equal(scores[0], whole)
         for pairs in (5 * 11 * 11, 1):
-            monkeypatch.setattr(optimizer, "BATCH_PAIRS", pairs)
+            monkeypatch.setattr(ref, "STEP_PAIRS", pairs)
             scores.append(optimizer._phase_scores(phases, columns, probs, self.SNR))
         assert [np.flatnonzero(s != scores[0]).tolist() for s in scores[1:]] == [[], []]
 
@@ -304,7 +304,7 @@ class TestBatchInvariance:
             assert np.flatnonzero(self._batched(rows[subsets], probs, size) != alone).tolist() == []
         pick, score = optimizer.select_directional_pair(prior, codebook, self.SNR, 2)
         assert score == alone[subsets.tolist().index(list(pick))]
-        monkeypatch.setattr(optimizer, "BATCH_PAIRS", 5 * 11 * 11)
+        monkeypatch.setattr(ref, "STEP_PAIRS", 5 * 11 * 11)
         assert optimizer.select_directional_pair(prior, codebook, self.SNR, 2) == (pick, score)
 
 
@@ -383,7 +383,7 @@ class TestGammaUbRows:
             return rows_mu(block, consts)
 
         monkeypatch.setattr(ref, "_rows_mu", recorded)
-        monkeypatch.setattr(ref, "ROW_PAIRS", 1 << 20)  # one step per group
+        monkeypatch.setattr(ref, "STEP_PAIRS", 1 << 20)  # one step per group
         prior, gram_abs2, norms_sq = self._mixed_block(np.random.default_rng(2), False)
         got = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         effective = prior > ref.LOG_EPS / (2 * 64**2)
@@ -506,7 +506,7 @@ class TestGammaUbRows:
         rng = np.random.default_rng(4)
         prior, gram_abs2, norms_sq = self._block(rng, 2, 12)
         whole = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
-        monkeypatch.setattr(ref, "ROW_PAIRS", 2 * 12 * 12)
+        monkeypatch.setattr(ref, "STEP_PAIRS", 2 * 12 * 12)
         split = ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
         assert np.array_equal(whole, split)
 
@@ -615,8 +615,8 @@ class TestShiftEquivariance:
         rng = np.random.default_rng(seed)
         snr = 10.0**log_snr
         codebook = build_codebook(build_grid(n), n_tx)
-        beams = BeamMatrix(phases=rng.uniform(0.0, 2.0 * np.pi, (n_tx, m)))
-        base = sensing_matrix(beams, codebook)
+        phases = rng.uniform(0.0, 2.0 * np.pi, (n_tx, m))
+        base = sensing_matrix(phases, codebook.matrix)
         offsets = rng.integers(0, n, size=6)
         prior = rng.random((6, n))
         prior[rng.random((6, n)) < 0.3] = 0.0
@@ -635,8 +635,7 @@ class TestShiftEquivariance:
             # Cauchy-Schwarz gap amplifies like the SNR: measured at most
             # 7.5e-12 * max(1, snr) relative over 3000 random cases.
             ramp = 2.0 * np.pi * k / n * np.arange(n_tx)
-            shifted = BeamMatrix(phases=beams.phases + ramp[:, None])
-            own = sensing_matrix(shifted, codebook)
+            own = sensing_matrix(phases + ramp[:, None], codebook.matrix)
             want = ref.gamma_ub(row, own.gram_abs2, own.col_norms_sq, snr)
             assert got[f] == pytest.approx(want, rel=1e-10 * max(1.0, snr), abs=0.0)
 

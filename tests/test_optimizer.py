@@ -8,16 +8,16 @@ import pytest
 
 from beamtrack import kernels, optimizer
 from beamtrack.arraymodel import build_codebook, build_grid, build_markov
+from beamtrack.kernels import ref
 from beamtrack.optimizer import (
     BeamScheduler,
     PsaConfig,
-    beam_objective,
     directional_mode,
     optimize_beams,
     select_directional_pair,
     steering_phases,
 )
-from beamtrack.tracking import Belief, BeamMatrix, sensing_matrix
+from beamtrack.tracking import Belief, sensing_matrix
 
 SMALL = PsaConfig(swarm_size=12, max_iters=40, seed=0)
 
@@ -28,11 +28,18 @@ def _concentrated_prior(n, center, eps=0.05):
     return Belief(probs)
 
 
-def _ramped(beams, k, n):
-    """The beams with the per-element phase ramp that moves every gain
+def _ramped(phases, k, n):
+    """The beam phases with the per-element phase ramp that moves every gain
     pattern by k steps of an n-point grid."""
-    ramp = 2.0 * np.pi * k / n * np.arange(beams.n_tx)
-    return BeamMatrix(phases=beams.phases + ramp[:, None])
+    ramp = 2.0 * np.pi * k / n * np.arange(len(phases))
+    return phases + ramp[:, None]
+
+
+def _score(phases, cb, prior, snr):
+    """Union bound of a design on the prior's support, as the swarm scores it."""
+    idx = np.flatnonzero(prior.probs > 0)
+    sensing = sensing_matrix(phases, cb.matrix[:, idx])
+    return kernels.gamma_ub(prior.probs[idx], sensing.gram_abs2, sensing.col_norms_sq, snr)
 
 
 def _optimize(prior, cb, snr, m_beams, config):
@@ -65,6 +72,16 @@ class TestPsaConfig:
         with pytest.raises(ValueError):
             PsaConfig(**kwargs)
 
+    def test_velocity_clamp_bound(self):
+        # the swarm draws its first velocities on [-clamp, clamp]: the largest
+        # clamp whose width is a finite double runs, the next one is refused
+        top = np.finfo(float).max / 2
+        cfg = PsaConfig(swarm_size=3, max_iters=1, velocity_clamp=top)
+        cb = build_codebook(build_grid(8), 4)
+        assert np.isfinite(_optimize(_concentrated_prior(8, 3), cb, 10.0, 2, cfg).score)
+        with pytest.raises(ValueError, match="psa.velocity_clamp"):
+            PsaConfig(velocity_clamp=np.nextafter(top, np.inf))
+
 
 class TestOptimizeBeams:
     def test_history_nonincreasing(self):
@@ -81,15 +98,19 @@ class TestOptimizeBeams:
         cb = build_codebook(grid, 4)
         prior = _concentrated_prior(8, 0)
         out = _optimize(prior, cb, 5.0, 2, SMALL)
-        assert beam_objective(out.beams, cb, prior, 5.0) == pytest.approx(
-            out.score, abs=1e-12
-        )
+        # the swarm scores its batches through the same builder and kernel
+        assert _score(out.phases, cb, prior, 5.0) == out.score
 
     def test_unit_modulus(self):
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
         out = _optimize(_concentrated_prior(8, 5), cb, 10.0, 3, SMALL)
-        np.testing.assert_allclose(np.abs(out.beams.matrix), 0.5, atol=1e-12)
+        assert out.phases.shape == (4, 3)
+        # squared row norms on the orthonormal 4-point codebook are n_tx
+        # exactly when every beam entry has modulus 1/2
+        orthonormal = build_codebook(build_grid(4), 4)
+        s = sensing_matrix(out.phases, orthonormal.matrix).matrix
+        np.testing.assert_allclose(np.sum(np.abs(s) ** 2, axis=1), 4.0, atol=1e-12)
 
     def test_reproducible(self):
         grid = build_grid(8)
@@ -97,7 +118,7 @@ class TestOptimizeBeams:
         prior = _concentrated_prior(8, 2)
         a = _optimize(prior, cb, 10.0, 2, SMALL)
         b = _optimize(prior, cb, 10.0, 2, SMALL)
-        assert np.array_equal(a.beams.phases, b.beams.phases)
+        assert np.array_equal(a.phases, b.phases)
         assert a.score == b.score and a.history == b.history
 
     def test_dominates_directional_and_mode_seeds(self):
@@ -108,8 +129,7 @@ class TestOptimizeBeams:
         snr = 10.0
         _, directional_score = select_directional_pair(prior, cb, snr, 2)
         top = np.argsort(prior.probs)[::-1][:2]
-        mode_beams = BeamMatrix(phases=steering_phases(cb, np.sort(top)))
-        mode_score = beam_objective(mode_beams, cb, prior, snr)
+        mode_score = _score(steering_phases(cb, np.sort(top)), cb, prior, snr)
         out = _optimize(prior, cb, snr, 2, SMALL)
         assert out.score <= directional_score + 1e-12
         assert out.score <= mode_score + 1e-12
@@ -121,8 +141,7 @@ class TestOptimizeBeams:
         cb = build_codebook(grid, 4)
         prior = _concentrated_prior(4, 1, eps=0.02)
         snr = 20.0
-        matched = BeamMatrix(phases=steering_phases(cb, [1]))
-        matched_score = beam_objective(matched, cb, prior, snr)
+        matched_score = _score(steering_phases(cb, [1]), cb, prior, snr)
         out = _optimize(prior, cb, snr, 1, PsaConfig(swarm_size=12, max_iters=60))
         assert out.score <= matched_score + 1e-12
 
@@ -142,13 +161,16 @@ class TestOptimizeBeams:
         sched = BeamScheduler(model, cb, 10.0, 5, cfg)
         out = sched.beams_for_index("psa_optimized", 0)
         assert np.isfinite(out.score)
-        assert out.beams.phases.shape == (8, 5)
+        assert out.phases.shape == (8, 5)
 
     def test_invalid_m_beams(self):
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m_beams"):
             optimize_beams(Belief.uniform(8), cb, 10.0, 0, SMALL, ())
+        # more beams than codewords
+        with pytest.raises(ValueError, match="m_beams"):
+            optimize_beams(Belief.uniform(8), cb, 10.0, 9, SMALL, tuple(range(9)))
 
 
 class TestDirectionalPair:
@@ -163,7 +185,7 @@ class TestDirectionalPair:
     )
     def test_matches_brute_force(self, n, m, batch_pairs, monkeypatch):
         if batch_pairs is not None:
-            monkeypatch.setattr(optimizer, "BATCH_PAIRS", batch_pairs)
+            monkeypatch.setattr(ref, "STEP_PAIRS", batch_pairs)
         grid = build_grid(n)
         cb = build_codebook(grid, 4)
         rng = np.random.default_rng(7)
@@ -173,8 +195,7 @@ class TestDirectionalPair:
         snr = 12.0
         best, best_score = None, np.inf
         for subset in combinations(range(n), m):
-            beams = BeamMatrix(phases=steering_phases(cb, subset))
-            sensing = sensing_matrix(beams, cb)
+            sensing = sensing_matrix(steering_phases(cb, subset), cb.matrix)
             score = kernels.gamma_ub(probs, sensing.gram_abs2, sensing.col_norms_sq, snr)
             if score < best_score:
                 best, best_score = subset, score
@@ -183,7 +204,7 @@ class TestDirectionalPair:
         assert got_score == pytest.approx(best_score, rel=1e-10)
         if n > 6:
             # more subsets than one batch holds
-            assert comb(n, m) > optimizer.BATCH_PAIRS // (n * n)
+            assert comb(n, m) > ref.STEP_PAIRS // (n * n)
 
     def test_mode_by_budget(self):
         assert directional_mode(64, 4) == "exhaustive"
@@ -261,9 +282,9 @@ class TestScheduler:
         sched = self._scheduler()
         base = sched.beams_for_index("psa_optimized", 0)
         for k in (1, 3, 7):
-            ramped = _ramped(base.beams, k, 8)
+            ramped = _ramped(base.phases, k, 8)
             prior_k = Belief(sched.model.transition[k])
-            score_k = beam_objective(ramped, sched.codebook, prior_k, 10.0)
+            score_k = _score(ramped, sched.codebook, prior_k, 10.0)
             assert score_k == pytest.approx(base.score, rel=1e-10)
 
     @pytest.mark.parametrize("policy", ["psa_optimized", "directional_tep"])
@@ -280,7 +301,7 @@ class TestScheduler:
         sensing, _, _ = sched.serve(policy, prev_est, model.transition[prev_est])
         for served, k in zip(sensing.matrix, prev_est):
             assert np.array_equal(served, np.roll(base.sensing.matrix, k, axis=-1))
-            rebuilt = sensing_matrix(_ramped(base.beams, k, n), cb).matrix
+            rebuilt = sensing_matrix(_ramped(base.phases, k, n), cb.matrix).matrix
             np.testing.assert_allclose(served, rebuilt, rtol=0, atol=1e-12)
 
     def test_unshifted_designs_are_own_base(self):
@@ -320,9 +341,11 @@ class TestScheduler:
         base = sched.beams_for_index("directional_tep", 0)
         for k in (1, 3, 7):
             shifted = [(i + k) % 8 for i in base.codeword_indices]
-            want = BeamMatrix(phases=steering_phases(sched.codebook, shifted))
-            ramped = _ramped(base.beams, k, 8)
-            np.testing.assert_allclose(ramped.matrix, want.matrix, rtol=0, atol=1e-12)
+            want = steering_phases(sched.codebook, shifted)
+            ramped = _ramped(base.phases, k, 8)
+            # equal modulo 2 pi
+            off = (ramped - want + np.pi) % (2.0 * np.pi) - np.pi
+            np.testing.assert_allclose(off, 0.0, rtol=0, atol=1e-12)
 
     def test_truncate_mode_designs_per_class(self):
         # one design per policy and shift class, each cached: at N=8 and
@@ -378,10 +401,21 @@ class TestScheduler:
                 prior = Belief(model.transition[k])
                 want = _optimize(prior, cb, 10.0, 2, SMALL)
                 got = sched.beams_for_index("psa_optimized", k)
-                assert np.array_equal(got.beams.phases, want.beams.phases)
+                assert np.array_equal(got.phases, want.phases)
                 assert got.score == want.score
                 got = sched.beams_for_index("directional_tep", k).codeword_indices
                 assert got == search(prior, cb, 10.0, 2)[0]
+
+    @pytest.mark.parametrize("edge_mode", ["wrap", "truncate"])
+    def test_design_sensing_is_built_from_phases(self, edge_mode):
+        # every design's sensing matrix is the builder's on its own phases,
+        # bit for bit, for both policies
+        sched = self._scheduler(edge_mode=edge_mode)
+        for policy in ("psa_optimized", "directional_tep"):
+            for k in range(8):
+                design = sched.beams_for_index(policy, k)
+                want = sensing_matrix(design.phases, sched.codebook.matrix).matrix
+                assert np.array_equal(design.sensing.matrix, want)
 
     def test_invalid_policy(self):
         sched = self._scheduler()

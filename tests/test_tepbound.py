@@ -14,7 +14,6 @@ from beamtrack.arraymodel import build_codebook, build_grid
 from beamtrack.kernels import ref
 from beamtrack.tracking import (
     Belief,
-    BeamMatrix,
     PilotObservation,
     SensingMatrix,
     map_estimate,
@@ -89,8 +88,7 @@ class TestPairEigenvalues:
         grid = build_grid(16)
         cb = build_codebook(grid, 8)
         for _ in range(200):
-            beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (8, 3)))
-            s = sensing_matrix(beams, cb)
+            s = sensing_matrix(rng.uniform(0, 2 * np.pi, (8, 3)), cb.matrix)
             k, n = rng.choice(16, size=2, replace=False)
             snr = 10.0 ** rng.uniform(0, 2)
             assert rank_two(s.matrix[:, k], s.matrix[:, n], snr)
@@ -268,8 +266,7 @@ class TestUpperBound:
         n_tx = 8
         grid = build_grid(n_tx)
         cb = build_codebook(grid, n_tx)  # orthonormal codebook
-        beams = BeamMatrix(phases=np.angle(cb.matrix[:, :2]))
-        sensing = sensing_matrix(beams, cb)
+        sensing = sensing_matrix(np.angle(cb.matrix[:, :2]), cb.matrix)
         # a point-mass prior zeroes every competitor weight, so the bound is 0
         out = gamma_ub(Belief.point_mass(n_tx, 0).probs, sensing, 1000.0)
         assert out == 0.0
@@ -318,8 +315,7 @@ class TestUpperBound:
         rng = np.random.default_rng(6)
         grid = build_grid(12)
         cb = build_codebook(grid, 6)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (6, 2)))
-        sensing = sensing_matrix(beams, cb)
+        sensing = sensing_matrix(rng.uniform(0, 2 * np.pi, (6, 2)), cb.matrix)
         probs = rng.random(12)
         probs /= probs.sum()
         snr = 8.0

@@ -17,7 +17,6 @@ from beamtrack.harness import (
 )
 from beamtrack.tracking import (
     Belief,
-    BeamMatrix,
     DegenerateBeliefError,
     PilotObservation,
     SensingMatrix,
@@ -35,55 +34,61 @@ def _random_sensing(rng, m, n):
     return SensingMatrix(matrix=mat)
 
 
-class TestBeamMatrix:
-    def test_unit_modulus(self):
-        rng = np.random.default_rng(0)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, size=(16, 3)))
-        np.testing.assert_allclose(np.abs(beams.matrix), 1 / 4.0, atol=1e-15)
-
-
-
 class TestSensingMatrix:
+    def test_unit_modulus(self):
+        # on the orthonormal n_tx-point codebook a sensing row is sqrt(n_tx)
+        # times a beam in codebook coordinates, so its squared norm is n_tx
+        # exactly when every beam entry has modulus 1/sqrt(n_tx)
+        rng = np.random.default_rng(0)
+        cb = build_codebook(build_grid(16), 16)
+        s = sensing_matrix(rng.uniform(0, 2 * np.pi, size=(16, 3)), cb.matrix)
+        np.testing.assert_allclose(np.sum(np.abs(s.matrix) ** 2, axis=1), 16.0, atol=1e-12)
+
+    def test_stack_equals_each_alone(self):
+        # a (B, n_tx, M) stack builds each design's sensing matrix bit for bit
+        rng = np.random.default_rng(3)
+        for n_tx, n, m in ((7, 16, 2), (32, 64, 2), (8, 16, 5)):
+            cb = build_codebook(build_grid(n), n_tx)
+            phases = rng.uniform(-80.0, 80.0, size=(9, n_tx, m))
+            stack = sensing_matrix(phases, cb.matrix).matrix
+            assert stack.shape == (9, m, n)
+            for item, one in zip(stack, phases):
+                assert np.array_equal(item, sensing_matrix(one, cb.matrix).matrix)
+
     def test_dft_orthogonal_case(self):
         # N == n_tx: codebook columns are orthonormal, so picking the first
         # M as beams gives sqrt(n_tx) * [I | 0]
         n_tx = 8
         grid = build_grid(n_tx)
         cb = build_codebook(grid, n_tx)
-        beams = BeamMatrix(phases=np.angle(cb.matrix[:, :2]))
-        s = sensing_matrix(beams, cb)
+        s = sensing_matrix(np.angle(cb.matrix[:, :2]), cb.matrix)
         expected = np.sqrt(n_tx) * np.hstack([np.eye(2), np.zeros((2, n_tx - 2))])
         np.testing.assert_allclose(s.matrix, expected, atol=1e-12)
 
     def test_single_beam_inner_product(self):
-        grid = build_grid(2)
-        cb = build_codebook(grid, 2)
         # beam equal to the steering vector at angle 0
-        beams = BeamMatrix(phases=np.zeros((2, 1)))
-        s = np.sqrt(2) * beams.matrix.conj().T @ np.ones(2) / np.sqrt(2)
-        assert abs(s[0] - np.sqrt(2)) < 1e-12
+        s = sensing_matrix(np.zeros((2, 1)), np.ones((2, 1)) / np.sqrt(2))
+        assert abs(s.matrix[0, 0] - np.sqrt(2)) < 1e-12
 
     def test_matches_dense_product(self):
         rng = np.random.default_rng(2)
         grid = build_grid(16)
         cb = build_codebook(grid, 8)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, size=(8, 2)))
-        s = sensing_matrix(beams, cb)
-        # independent dense recomputation
+        phases = rng.uniform(0, 2 * np.pi, size=(8, 2))
+        s = sensing_matrix(phases, cb.matrix)
+        # independent dense recomputation from the beams F = exp(j phases) / sqrt(8)
+        beams = (np.cos(phases) + 1j * np.sin(phases)) / np.sqrt(8)
         expected = np.zeros((2, 16), dtype=complex)
         for m in range(2):
             for n in range(16):
-                expected[m, n] = np.sqrt(8) * np.sum(
-                    beams.matrix[:, m].conj() * cb.matrix[:, n]
-                )
+                expected[m, n] = np.sqrt(8) * np.sum(beams[:, m].conj() * cb.matrix[:, n])
         np.testing.assert_allclose(s.matrix, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         grid = build_grid(16)
         cb = build_codebook(grid, 8)
-        beams = BeamMatrix(phases=np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            sensing_matrix(beams, cb)
+        with pytest.raises(ValueError, match="beam rows"):
+            sensing_matrix(np.zeros((4, 2)), cb.matrix)
 
 
 class TestObservation:
@@ -116,8 +121,7 @@ class TestObservation:
         grid = build_grid(8)
         cb = build_codebook(grid, 4)
         model = build_markov(8, 0.5, 1)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (4, 2)))
-        s = sensing_matrix(beams, cb)
+        s = sensing_matrix(rng.uniform(0, 2 * np.pi, (4, 2)), cb.matrix)
         snr, kappa, n = 5.0, 3, 20_000
         config = ExperimentConfig(n_grid=8, sigma=1, p_ttis=2, seed=2)
         gains = _trajectories(config, model, range(n))[2][:, 0]
@@ -262,8 +266,7 @@ class TestPosterior:
         rng = np.random.default_rng(12)
         grid = build_grid(16)
         cb = build_codebook(grid, 8)
-        beams = BeamMatrix(phases=rng.uniform(0, 2 * np.pi, (8, 4)))
-        sensing = sensing_matrix(beams, cb)
+        sensing = sensing_matrix(rng.uniform(0, 2 * np.pi, (8, 4)), cb.matrix)
         snr = 1e5
         for true_idx in range(16):
             prior = np.full(16, 1.0 / 16)
