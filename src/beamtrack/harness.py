@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -356,6 +355,18 @@ def prepare(config: ExperimentConfig) -> dict:
     return dict(config=config, scheduler=scheduler, cycling=cycling)
 
 
+# A pool worker's keywords of _run_block, handed over once by _init_worker.
+_worker_state: dict = {}
+
+
+def _init_worker(state: dict) -> None:
+    _worker_state.update(state)
+
+
+def _run_pooled(frames: range):
+    return _run_block(frames, **_worker_state)
+
+
 def _worker_count() -> int:
     """Worker processes from ``BEAMTRACK_THREADS``: an integer from 1 to the
     CPU count, 1 when unset."""
@@ -409,17 +420,16 @@ def run_experiment(
                 trials[pol][block.start * n_steps : block.stop * n_steps] = part[pol]
 
     state = prepare(config)
-    run = partial(_run_block, **state)
     if workers == 1 or len(blocks) == 1:
-        fill(map(run, blocks))
+        fill(_run_block(block, **state) for block in blocks)
     else:
         # Imported here: multiprocessing costs every serial run's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        # Every worker gets a copy of the scheduler with every design made.
+        # Each worker gets one copy of the scheduler, with every design made.
         state["scheduler"].design_all(p for p in config.policies if p != "beam_cycling")
-        with ProcessPoolExecutor(workers) as pool:
-            fill(pool.map(run, blocks))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
+            fill(pool.map(_run_pooled, blocks))
 
     # Rows run frame by frame, period by period, so column k of a policy's
     # (n_frames, p_ttis - 1) rows holds every frame's period tti = k + 2.

@@ -14,12 +14,12 @@ vv = g2 + q_n/snr.  D <= 0 by Cauchy-Schwarz, so one eigenvalue is >= 0 and
 the other <= 0.
 
 One formula gives the pair tail mu from these eigenvalues and the log
-threshold delta: :func:`_pair_constants` turns the eigenvalues into per-pair
-constants once, and :func:`_mu` evaluates them at each prior's delta.  The
-one entry, :func:`gamma_ub`, runs it and ends in one per-item weighted sum,
-:func:`_bounds`, so no bound's bits depend on its batch.  It scores a block
-of priors against one sensing matrix, for logging, and one prior against a
-stack of them, for beam design.
+threshold delta: :func:`_pair_constants` turns the eigenvalues into one
+array of per-pair constants, and :func:`_mu` evaluates them at each prior's
+delta.  The one entry, :func:`gamma_ub`, runs it and ends in one per-item
+weighted sum, :func:`_bounds`, so no bound's bits depend on its batch.  It
+scores a block of priors against one sensing matrix, for logging, and one
+prior against one or a stack of them, for beam design.
 
 The prior-independent pass is dense and reuses its buffers: the
 eigenvalues of every pair are computed in a few arrays of the pair shape,
@@ -179,8 +179,8 @@ def _fold(lam1: np.ndarray, lam2: np.ndarray):
     return thr, nl_low, nl_high, ratio_low, ratio_high
 
 
-def _mu(delta, thr, nl_low, nl_high, ratio_low, ratio_high) -> np.ndarray:
-    """Elementwise mu from delta and the :func:`_fold` constants.
+def _mu(delta, fold: np.ndarray) -> np.ndarray:
+    """Elementwise mu from delta and the five :func:`_fold` constants, stacked.
 
     Each result lies in [0, 1] without clipping.  For finite delta:
     ``ratio_low`` = lam2/fl(lam2 - lam1) lies in [0, 1] and ``ratio_high``
@@ -199,6 +199,7 @@ def _mu(delta, thr, nl_low, nl_high, ratio_low, ratio_high) -> np.ndarray:
     (inf/inf) argument, which fails the floor's comparison and so gives a
     tail of 0, and mu takes its limits: 0 below and 1 above.
     """
+    thr, nl_low, nl_high, ratio_low, ratio_high = fold
     high = delta > thr
     tail = np.where(high, nl_high, nl_low)
     np.divide(delta, tail, out=tail)
@@ -210,14 +211,14 @@ def _mu(delta, thr, nl_low, nl_high, ratio_low, ratio_high) -> np.ndarray:
     return mu
 
 
-def _pair_constants(gram_abs2, norms_sq, snr) -> tuple[np.ndarray, ...]:
-    """Prior-independent terms of every hypothesis pair, as six (..., N*N)
-    flattened pair matrices.
+def _pair_constants(gram_abs2, norms_sq, snr) -> np.ndarray:
+    """Prior-independent terms of every hypothesis pair, as one C-contiguous
+    (6, ..., N*N) array of flattened pair matrices.
 
-    They are the log-determinant part of delta and the five :func:`_fold`
-    constants.  ``gram_abs2`` (..., N, N) and ``norms_sq`` (..., N) may
-    carry leading stack axes.  The diagonal, whose delta is exactly 0, gets
-    mu = 0.
+    Its six slices are the log-determinant part of delta and the five
+    :func:`_fold` constants, each written in place.  ``gram_abs2``
+    (..., N, N) and ``norms_sq`` (..., N) may carry leading stack axes.  The
+    diagonal, whose delta is exactly 0, gets mu = 0.
 
     Generic pairs, both eigenvalues nonzero, are evaluated densely: their
     threshold is 0, ``nl`` the negated eigenvalue and ``ratio`` the
@@ -228,42 +229,42 @@ def _pair_constants(gram_abs2, norms_sq, snr) -> tuple[np.ndarray, ...]:
     lam1, lam2 = pair_eigs(gram_abs2, norms_sq, snr)
     n = lam1.shape[-1]
     diag = np.arange(n)
-    nl_low = np.negative(lam2)
+    consts = np.empty((6, *lam1.shape))
+    logdet_diff, thr, nl_low, nl_high, ratio_low, ratio_high = consts
+    np.negative(lam2, out=nl_low)
     # With lam1 >= 0 >= lam2, the two tests of _fold in one: the smaller
     # magnitude exceeds ZERO_EIG_RTOL * max(1, larger magnitude).  A wrong
     # sign (an underflowed trace^2) fails it there too.
-    scale = np.maximum(lam1, nl_low)
+    scale = np.maximum(lam1, nl_low, out=ratio_high)
     np.maximum(scale, 1.0, out=scale)
     scale *= ZERO_EIG_RTOL
     generic = np.minimum(lam1, nl_low) > scale
     generic[..., diag, diag] = True  # its constants are set below
-    at = np.flatnonzero(~generic)
-    patch = _fold(np.take(lam1, at), np.take(lam2, at)) if len(at) else ()
-    gap = np.subtract(lam2, lam1, out=scale)
+    gap = np.subtract(lam2, lam1, out=ratio_high)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where set below
-        ratio_high = lam1 / gap
-        ratio_low = np.divide(lam2, gap, out=lam2)
-    nl_high = np.negative(lam1, out=lam1)
-    terms = (np.zeros(nl_high.shape), nl_low, nl_high, ratio_low, ratio_high)
-    for term, value in zip(terms, patch):
-        _flat(term)[at] = value
+        np.divide(lam2, gap, out=ratio_low)
+        np.divide(lam1, gap, out=ratio_high)
+    np.negative(lam1, out=nl_high)
+    thr[...] = 0.0
+    at = np.flatnonzero(~generic)
+    if len(at):
+        consts.reshape(6, -1)[1:, at] = _fold(np.take(lam1, at), np.take(lam2, at))
     # _fold's constants for lam1 = lam2 = 0, except the threshold, which
     # stays 0: with P(0 <= 0) = 1 the diagonal's mu would be 1
-    for term, value in zip(terms[1:], (np.inf, -np.inf, 0.0, 0.0)):
+    for term, value in zip(consts[2:], (np.inf, -np.inf, 0.0, 0.0)):
         term[..., diag, diag] = value
     logdet = np.log1p(snr * np.asarray(norms_sq, dtype=float))
-    logdet_diff = logdet[..., :, None] - logdet[..., None, :]
-    return tuple(term.reshape(*lam1.shape[:-2], n * n) for term in (logdet_diff, *terms))
+    np.subtract(logdet[..., :, None], logdet[..., None, :], out=logdet_diff)
+    return consts.reshape(*consts.shape[:-2], n * n)
 
 
-def _rows_mu(prior: np.ndarray, consts) -> np.ndarray:
-    """(..., U, U) mu of positive priors (..., U) from their columns'
-    :func:`_pair_constants`, each (..., U*U).
+def _rows_mu(prior: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """(..., U, U) mu of positive priors from their columns'
+    :func:`_pair_constants` array (6, ..., U*U).
 
     Row index is the true hypothesis, column index the competitor.  A (G, U)
-    block against one set of constants gives (G, U, U); one (U,) prior
-    against a (B,) stack of constants gives (B, U, U), and a (G, 1, U)
-    block against it (G, B, U, U).
+    block against the constants of one sensing matrix gives (G, U, U); one
+    (U,) prior against those of a (B,) stack gives (B, U, U).
     """
     u = prior.shape[-1]
     log_prior = np.log(prior)
@@ -271,17 +272,18 @@ def _rows_mu(prior: np.ndarray, consts) -> np.ndarray:
     # pass; broadcasting alone can put the prior-row axis there.
     delta = np.add(
         log_prior[..., None, :] - log_prior[..., :, None],
-        consts[0].reshape(*consts[0].shape[:-1], u, u),
+        consts[0].reshape(*consts.shape[1:-1], u, u),
         order="C",
     )
-    mu = _mu(delta.reshape(*delta.shape[:-2], u * u), *consts[1:])
+    mu = _mu(delta.reshape(*delta.shape[:-2], u * u), consts[1:])
     return mu.reshape(delta.shape)
 
 
-def _bounds(rows: np.ndarray, consts) -> np.ndarray:
-    """Bounds of C-contiguous positive priors (..., U), shaped as
-    :func:`_rows_mu`'s rows: each item's row sums weighted by its prior in a
-    dot product of its own, so no item's bits depend on its batch."""
+def _bounds(rows: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Bounds of positive priors (..., U), shaped as :func:`_rows_mu`'s rows:
+    each item's row sums weighted by its prior in a dot product of its own,
+    in C order, so no item's bits depend on its batch or its rows' layout."""
+    rows = np.ascontiguousarray(rows)
     sums = _rows_mu(rows, consts).sum(axis=-1)
     return np.matmul(rows[..., None, :], sums[..., :, None])[..., 0, 0]
 
@@ -290,10 +292,9 @@ def gamma_ub(
     prior: np.ndarray, gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float
 ) -> np.ndarray | float:
     """Union upper bounds on the tracking error probability (unclamped) of
-    an (F, N) block of priors against the Gram data ``gram_abs2`` (..., N, N)
-    and ``norms_sq`` (..., N) of one sensing matrix or of a stack of them,
-    as (F, ...).  A (N,) prior drops the row axis, so against one sensing
-    matrix it gives a float.
+    an (F, N) block of priors, as (F,), against the Gram data ``gram_abs2``
+    (N, N) and ``norms_sq`` (N) of one sensing matrix; or of one (N,) prior
+    against one, as a float, or against a (B,) stack of them, as (B,).
 
     Each row is scored on its effective support, the entries above
     ``LOG_EPS / (2 N^2)``, so each result lies within ``LOG_EPS`` absolute,
@@ -304,13 +305,15 @@ def gamma_ub(
     Each result equals the call on its row and its sensing matrix alone,
     bit for bit.  Every prior-independent pair term is computed once, on
     the union of the rows' effective supports.  A block of rows is scored in
-    groups of equal effective support, each group on that support and at
-    most ``STEP_PAIRS`` pairs at a time.
+    groups of equal effective support, each gathered once, with its pair
+    constants, and scored at most ``STEP_PAIRS`` pairs at a time.
     """
     prior = np.asarray(prior, dtype=float)
     block = prior.reshape(-1, prior.shape[-1])
     norms_sq = np.asarray(norms_sq, dtype=float)
     stack = norms_sq.shape[:-1]
+    if len(block) > 1 and stack:
+        raise ValueError("a block of priors is scored against one sensing matrix")
     support = block > LOG_EPS / (2 * block.shape[-1] ** 2)
     union = np.flatnonzero(support.any(axis=0))
     u = len(union)
@@ -334,18 +337,11 @@ def gamma_ub(
         groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
         for rows, row in zip(groups, first):
             pos = np.flatnonzero(support[row, union])
-            cols = union[pos]
-            if len(pos) == u:
-                sub = consts
-            else:
-                pairs = (pos[:, None] * u + pos).ravel()
-                sub = tuple(term[..., pairs] for term in consts)
-            step = max(1, STEP_PAIRS // (out[0].size * max(1, len(pos)) ** 2))
+            sub = np.take(consts, (pos[:, None] * u + pos).ravel(), axis=-1)
+            group = block[rows[:, None], union[pos]]
+            step = max(1, STEP_PAIRS // max(1, len(pos)) ** 2)
             for lo in range(0, len(rows), step):
-                chunk = rows[lo : lo + step]
-                # (G, 1.., S) rows, each against every matrix of the stack
-                lifted = (len(chunk), *(1,) * len(stack), len(pos))
-                out[chunk] = _bounds(block[chunk[:, None], cols].reshape(lifted), sub)
+                out[rows[lo : lo + step]] = _bounds(group[lo : lo + step], sub)
     if prior.ndim > 1:
         return out
     return out[0] if stack else float(out[0])

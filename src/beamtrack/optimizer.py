@@ -15,7 +15,6 @@ from itertools import combinations, islice
 from math import comb
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .arraymodel import Codebook, MarkovModel
@@ -103,12 +102,6 @@ def _batch_size(n_support: int) -> int:
     return max(1, kernels.ref.STEP_PAIRS // (n_support * n_support))
 
 
-def _bound_scores(stack: SensingMatrix, prior: np.ndarray, snr: float) -> np.ndarray:
-    """Union bounds of a (B, M, S) stack of sensing matrices on the prior's
-    S support columns, against that (S,) prior."""
-    return kernels.gamma_ub(prior, stack.gram_abs2, stack.col_norms_sq, snr)
-
-
 def _phase_scores(
     phases: np.ndarray, columns: np.ndarray, prior: np.ndarray, snr: float
 ) -> np.ndarray:
@@ -120,8 +113,8 @@ def _phase_scores(
     scores = np.empty(len(phases))
     step = _batch_size(len(prior))
     for lo in range(0, len(phases), step):
-        sensing = sensing_matrix(phases[lo : lo + step], columns)
-        scores[lo : lo + step] = _bound_scores(sensing, prior, snr)
+        stack = sensing_matrix(phases[lo : lo + step], columns)
+        scores[lo : lo + step] = kernels.gamma_ub(prior, stack.gram_abs2, stack.col_norms_sq, snr)
     return scores
 
 
@@ -173,7 +166,8 @@ def select_directional_pair(
         best, best_score = (), np.inf
         while block := list(islice(subsets, step)):
             block = np.array(block, dtype=int)
-            scores = _bound_scores(SensingMatrix(matrix=rows[block]), probs, snr)
+            stack = SensingMatrix(matrix=rows[block])
+            scores = kernels.gamma_ub(probs, stack.gram_abs2, stack.col_norms_sq, snr)
             k = int(np.argmin(scores))
             if scores[k] < best_score:
                 best, best_score = tuple(int(i) for i in block[k]), float(scores[k])
@@ -377,13 +371,12 @@ class BeamScheduler:
         n = self.model.n_points
         keys, shifts = self.model.canonical[prev_est], self.model.shift[prev_est]
         rolled = np.take_along_axis(priors, (np.arange(n) + shifts[:, None]) % n, axis=1)
-        # Side by side, window 2n * u + s of the designs' doubled sensing
-        # matrices is design u's with the columns rolled by -s.
         designs = _present(keys)
         which = np.searchsorted(designs, keys)
-        doubled = [np.tile(self.beams_for_index(policy, k).sensing.matrix, 2) for k in designs]
-        windows = np.swapaxes(sliding_window_view(np.hstack(doubled), n, axis=-1), 0, 1)
-        return SensingMatrix(matrix=windows[2 * n * which + -shifts % n]), rolled, keys
+        matrices = np.stack([self.beams_for_index(policy, k).sensing.matrix for k in designs])
+        cols = (np.arange(n) - shifts[:, None]) % n
+        served = matrices[which[:, None, None], np.arange(self.m_beams)[:, None], cols[:, None, :]]
+        return SensingMatrix(matrix=served), rolled, keys
 
     def log_bounds(self, policy: str, priors: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Union bound of each stored prior against the design at its key.

@@ -99,7 +99,7 @@ def folded_mu(lam1, lam2, delta):
     """The kernel's folded mu (the code under test) at given eigenvalues and
     thresholds, as arrays."""
     lam1, lam2, delta = (np.asarray(x, dtype=float) for x in (lam1, lam2, delta))
-    return ref._mu(delta, *ref._fold(lam1, lam2))
+    return ref._mu(delta, np.stack(ref._fold(lam1, lam2)))
 
 
 def gram_data(s):

@@ -277,6 +277,25 @@ class TestRunExperiment:
         parallel, _ = run_experiment(cfg)
         assert np.array_equal(serial["directional_tep"], parallel["directional_tep"])
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_worker_receives_state_once(self, monkeypatch):
+        # the scheduler goes to each worker once, not with every block
+        pickled = []
+
+        def counted(scheduler):
+            pickled.append(1)
+            return scheduler.__dict__
+
+        monkeypatch.setattr(BeamScheduler, "__getstate__", counted, raising=False)
+        monkeypatch.setattr(harness, "BLOCK_FRAMES", 4)
+        monkeypatch.setenv("BEAMTRACK_THREADS", "2")
+        cfg = _config(n_frames=40, policy="directional_tep")
+        parallel, _ = run_experiment(cfg)
+        assert len(pickled) <= 2
+        monkeypatch.setenv("BEAMTRACK_THREADS", "1")
+        serial, _ = run_experiment(cfg)
+        assert np.array_equal(serial["directional_tep"], parallel["directional_tep"])
+
     @pytest.mark.skipif(
         (os.cpu_count() or 1) < 2 or multiprocessing.get_start_method() != "fork",
         reason="needs two CPUs, and forked workers to see the patch",

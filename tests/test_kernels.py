@@ -134,14 +134,17 @@ class TestGammaUbBatch:
         assert got.shape == (4,)
         for b in range(4):
             assert got[b] == ref.gamma_ub(prior, gram_abs2[b], norms_sq[b], snr)
-        # a block against the stack, rows first, then the stack's items; two
-        # rows share a support, and so a step
-        other = prior[::-1].copy()
-        other[3] = 0.0
-        rows = ref.gamma_ub(np.vstack([prior, other, prior]), gram_abs2, norms_sq, snr)
-        assert rows.shape == (3, 4) and np.array_equal(rows[[0, 2]], [got, got])
-        for b in range(4):
-            assert rows[1, b] == ref.gamma_ub(other, gram_abs2[b], norms_sq[b], snr)
+
+    def test_block_against_stack_refused(self):
+        # a block is logged against one sensing matrix; only one prior is
+        # scored against a stack
+        rng = np.random.default_rng(2)
+        _, gram_abs2, norms_sq = self._batch(rng, 2, 12)
+        prior = rng.random((3, 12))
+        with pytest.raises(ValueError, match="one sensing matrix"):
+            ref.gamma_ub(prior, gram_abs2, norms_sq, 10.0)
+        with pytest.raises(ValueError, match="one sensing matrix"):
+            ref.gamma_ub(prior[:2], gram_abs2[:1], norms_sq[:1], 10.0)
 
     @pytest.mark.parametrize("snr", SNRS)
     def test_prior_with_zero_entries(self, snr):
@@ -421,7 +424,7 @@ class TestGammaUbRows:
         for row in prior:
             idx = np.flatnonzero(row > 0)
             pairs = (idx[:, None] * 8 + idx).ravel()
-            got = ref._rows_mu(row[idx][None], [term[pairs] for term in consts])[0]
+            got = ref._rows_mu(row[idx][None], np.take(consts, pairs, axis=-1))[0]
             sub = np.ix_(idx, idx)
             want, delta = pair_mu(row[idx], lam1[sub], lam2[sub], logdet[idx])
             ties += np.sum(delta[~np.eye(len(idx), dtype=bool)] == 0.0)
@@ -452,19 +455,41 @@ class TestGammaUbRows:
         s[2, :, 3] *= 1e-9
         s[3, :, 4] = 0.0
         gram_abs2, norms_sq = gram_data(s)
+        subset = np.array([0, 1, 3, 4, 7])
+        pairs = (subset[:, None] * 9 + subset).ravel()
         for snr in (1e-3, 10.0, 1e6):
             stacked = ref._pair_constants(gram_abs2, norms_sq, snr)
-            assert [term.shape for term in stacked] == [(5, 81)] * 6
+            assert stacked.shape == (6, 5, 81) and stacked.flags.c_contiguous
             for b in range(5):
                 own = ref._pair_constants(gram_abs2[b], norms_sq[b], snr)
-                for term, want in zip(stacked, own):
-                    assert np.array_equal(term[b], want)
+                assert own.shape == (6, 81) and own.flags.c_contiguous
+                assert np.array_equal(stacked[:, b], own)
+                # a support subset gathered from the constants, as logging
+                # gathers a support group's, is the subset Gram's own
+                gathered = np.take(own, pairs, axis=-1)
+                sub = ref._pair_constants(
+                    gram_abs2[b][np.ix_(subset, subset)], norms_sq[b, subset], snr
+                )
+                assert np.array_equal(gathered, sub)
             # the same values in Fortran order and in a strided view
             strided = np.zeros((5, 18, 18))[:, ::2, ::2]
             strided[...] = gram_abs2
             for gram in (np.asfortranarray(gram_abs2), strided):
-                for term, want in zip(ref._pair_constants(gram, norms_sq, snr), stacked):
-                    assert np.array_equal(term, want)
+                assert np.array_equal(ref._pair_constants(gram, norms_sq, snr), stacked)
+
+    def test_bounds_independent_of_row_order(self):
+        # a strided dot product rounds differently from the contiguous one:
+        # Fortran-ordered rows and a strided view score as C-ordered rows
+        rng = np.random.default_rng(1)
+        s = rng.standard_normal((2, 11)) + 1j * rng.standard_normal((2, 11))
+        consts = ref._pair_constants(*gram_data(s), 10.0)
+        rows = rng.random((9, 11))
+        rows /= rows.sum(axis=1, keepdims=True)
+        strided = np.zeros((9, 22))[:, ::2]
+        strided[...] = rows
+        want = ref._bounds(rows, consts)
+        for other in (np.asfortranarray(rows), strided):
+            assert ref._bounds(other, consts).tolist() == want.tolist()
 
     def test_pair_eigs_once_per_call(self, monkeypatch):
         calls = []
