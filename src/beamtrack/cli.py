@@ -32,6 +32,8 @@ TRIAL_COLUMNS = ("policy", *TRIAL_DTYPE.names)
 # Trial rows formatted and written per piece: the text of a run's trials is
 # never held whole, whatever n_frames is.
 CHUNK_ROWS = 4096
+# sweep --param values and the config field each names.
+SWEEP_FIELDS = {"beta": "beta", "snr": "snr_db"}
 
 # glibc's mallopt parameters (malloc.h) and the values main pins them to.
 # Left dynamic, both thresholds start at 128 KiB and rise whenever a run
@@ -224,12 +226,11 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     config = load_config(args.config)
-    param = {"beta": "beta", "snr": "snr_db"}[args.param]
     try:
-        results, summary = sweep(config, param=param)
+        results, summary = sweep(config, param=SWEEP_FIELDS.get(args.param))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    trials = {f"trials_{param}_{val:g}.csv": part for val, part in results.items()}
+    trials = {f"trials_{config.swept}_{val:g}.csv": part for val, part in results.items()}
     _write_outputs(Path(args.out), config, started, summary, trials)
     return 0
 
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="sweep beta or SNR")
     p_swp.add_argument("--config", required=True)
-    p_swp.add_argument("--param", required=True, choices=("beta", "snr"))
+    p_swp.add_argument("--param", choices=SWEEP_FIELDS, help="optional; must name the swept field")
     p_swp.add_argument("--out", required=True, help="output directory")
     p_swp.set_defaults(func=cmd_sweep)
     return parser

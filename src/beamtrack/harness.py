@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .arraymodel import build_codebook, build_grid, build_markov
-from .optimizer import BeamScheduler, PsaConfig, check_int, check_real
+from .optimizer import DESIGNED, BeamScheduler, PsaConfig, check_int, check_real
 from .tracking import (
     Belief,
     PilotObservation,
@@ -39,7 +39,7 @@ __all__ = [
     "beam_cycling_estimate",
 ]
 
-POLICIES = ("psa_optimized", "directional_tep", "beam_cycling")
+POLICIES = (*DESIGNED, "beam_cycling")
 TRIAL_DTYPE = np.dtype(
     [
         ("frame", "i4"),
@@ -82,6 +82,15 @@ BLOCK_PERIODS = BLOCK_FRAMES * 1023
 # once per policy: fewer rows per kernel call cost more calls and more
 # support groups.
 LOG_ROWS = 2304
+
+
+def _from_fields(cls, d: dict, prefix: str = ""):
+    """``cls(**d)`` once every key of ``d`` names a field of the dataclass
+    ``cls``; an unknown key raises a ValueError naming it after ``prefix``."""
+    unknown = sorted(f"{prefix}{key}" for key in set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown config fields: {unknown}")
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -182,11 +191,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         if isinstance(d.get("psa"), dict):
-            d["psa"] = PsaConfig(**d["psa"])
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
+            d["psa"] = _from_fields(PsaConfig, d["psa"], "psa.")
+        return _from_fields(cls, d)
 
 
 def beam_cycling_probes(n_tx: int, codebook) -> SensingMatrix:
@@ -275,20 +281,21 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
     ``scheduler`` serves the beams of the designed policies, with its model
     and SNR; ``cycling`` is the probe sweep of ``beam_cycling``.  Each
     policy's (F, p_ttis - 1) trial rows take its estimates as the periods
-    run.  The bound never feeds back into tracking, so each designed policy
-    stores its period priors as the scheduler returns them, with their
-    designed indices, and logs their bounds into its rows when ``LOG_ROWS``
-    rows are stored or the periods end.
+    run; a designed policy's beams are served for the last estimates in
+    its rows (``init`` at the first period).  The bound never feeds back into
+    tracking, so each designed policy stores its period priors as the
+    scheduler returns them, with their designed indices, and logs their
+    bounds into its rows when ``LOG_ROWS`` rows are stored or the periods end.
     """
     model, snr = scheduler.model, scheduler.snr
-    designed = [pol for pol in config.policies if pol != "beam_cycling"]
+    designed = [pol for pol in config.policies if pol in DESIGNED]
     n_steps = config.p_ttis - 1
     init, true, gains = _trajectories(config, model, frames)
     rows = np.arange(len(frames))
-    widths = [
-        cycling.m_beams if pol == "beam_cycling" else config.m_beams
-        for pol in config.policies
-    ]
+    # two normals per channel use of the policy that uses the most
+    width = 2 * max(
+        config.m_beams if pol in DESIGNED else cycling.m_beams for pol in config.policies
+    )
 
     trials = {pol: np.empty((len(frames), n_steps), TRIAL_DTYPE) for pol in config.policies}
     for block in trials.values():
@@ -300,17 +307,12 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
     priors = {pol: np.empty((stored, len(frames), config.n_grid)) for pol in designed}
     keys = {pol: np.empty((stored, len(frames)), dtype=int) for pol in designed}
     beliefs = {pol: Belief(np.eye(config.n_grid)[init]) for pol in designed}
-    prev_est = {pol: init for pol in designed}
     for step in range(n_steps):
         tti, slot = step + 2, step % stored
-        normals = (
-            None
-            if config.noiseless
-            else _noise_normals(config, frames, tti, 2 * max(widths))
-        )
+        normals = None if config.noiseless else _noise_normals(config, frames, tti, width)
         for pol in config.policies:
             est = trials[pol]["est_index"]
-            if pol == "beam_cycling":
+            if pol not in DESIGNED:
                 y = gains[:, step, None] * cycling.matrix.T[true[:, step]]
                 if normals is not None:
                     y = y + _noise(normals, cycling.m_beams, snr)
@@ -319,13 +321,13 @@ def _run_block(frames: range, config: ExperimentConfig, scheduler, cycling):
 
             prior = propagate_prior(beliefs[pol], model)
             sensing, priors[pol][slot], keys[pol][slot] = scheduler.serve(
-                pol, prev_est[pol], prior.probs
+                pol, est[:, step - 1] if step else init, prior.probs
             )
             y = gains[:, step, None] * sensing.matrix[rows, :, true[:, step]]
             if normals is not None:
                 y = y + _noise(normals, config.m_beams, snr)
             beliefs[pol] = posterior(prior, PilotObservation(y=y, snr=snr), sensing)
-            prev_est[pol] = est[:, step] = map_estimate(beliefs[pol])
+            est[:, step] = map_estimate(beliefs[pol])
         if slot == stored - 1 or step == n_steps - 1:
             for pol in designed:
                 trials[pol]["gamma_ub"][:, step - slot : step + 1] = scheduler.log_bounds(
@@ -427,7 +429,7 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor
 
         # Each worker gets one copy of the scheduler, with every design made.
-        state["scheduler"].design_all(p for p in config.policies if p != "beam_cycling")
+        state["scheduler"].design_all(p for p in config.policies if p in DESIGNED)
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
             fill(pool.map(_run_pooled, blocks))
 

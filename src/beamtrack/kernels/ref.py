@@ -57,9 +57,9 @@ ZERO_EIG_RTOL = 1e-10
 # Cancellation noise in the gap would otherwise be sqrt-amplified into a
 # spurious nonzero eigenvalue pair.
 RANK_DEFICIENT_RTOL = 1e-12
-# Hypothesis pairs per step of a bound-kernel call: rows x support x support
-# per prior-dependent step of gamma_ub when logging a block, and stack x
-# support x support per design call (``optimizer._batch_size``).  A logging
+# Hypothesis pairs per step of a bound-kernel call, items x support x
+# support, where the items are a logged block's prior rows or a design's
+# stacked sensing matrices; :func:`step_items` alone applies it.  A logging
 # step holds at most six arrays of this many doubles at once (measured), so
 # this caps them near 0.4 MB whatever the block size.  A design call
 # allocates about 15 such arrays and holds at most about ten at once on a
@@ -79,16 +79,11 @@ EXP_FLOOR = -700.0
 LOG_EPS = 1e-16
 
 
-def _flat(pairs: np.ndarray) -> np.ndarray:
-    """Flat view of a C-contiguous pair array, to write pairs by flat index.
-
-    Every pair array of this module is allocated in C order, where
-    ``reshape(-1)`` is a view; on any other layout it would be a copy, and
-    the writes would be lost.
-    """
-    if not pairs.flags.c_contiguous:
-        raise ValueError("pair arrays are written by flat index in C order")
-    return pairs.reshape(-1)
+def step_items(n_support: int) -> int:
+    """Items, prior rows or stacked sensing matrices, that one step of a
+    bound-kernel call scores on ``n_support`` hypotheses: ``STEP_PAIRS``
+    pairs' worth, and at least one."""
+    return max(1, STEP_PAIRS // max(1, n_support) ** 2)
 
 
 def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
@@ -139,8 +134,8 @@ def pair_eigs(gram_abs2: np.ndarray, norms_sq: np.ndarray, snr: float):
     lam2 = np.subtract(trace, root, out=trace)
     lam2 *= 0.5
     if at is not None:
-        _flat(lam1)[at] = np.maximum(one, 0.0)
-        _flat(lam2)[at] = np.minimum(one, 0.0)
+        np.put(lam1, at, np.maximum(one, 0.0))
+        np.put(lam2, at, np.minimum(one, 0.0))
     lam1[..., diag, diag] = 0.0
     lam2[..., diag, diag] = 0.0
     return lam1, lam2
@@ -339,7 +334,7 @@ def gamma_ub(
             pos = np.flatnonzero(support[row, union])
             sub = np.take(consts, (pos[:, None] * u + pos).ravel(), axis=-1)
             group = block[rows[:, None], union[pos]]
-            step = max(1, STEP_PAIRS // max(1, len(pos)) ** 2)
+            step = step_items(len(pos))
             for lo in range(0, len(rows), step):
                 out[rows[lo : lo + step]] = _bounds(group[lo : lo + step], sub)
     if prior.ndim > 1:

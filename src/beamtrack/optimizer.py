@@ -21,6 +21,7 @@ from .arraymodel import Codebook, MarkovModel
 from .tracking import Belief, SensingMatrix, sensing_matrix
 
 __all__ = [
+    "DESIGNED",
     "PsaConfig",
     "OptimizationResult",
     "DesignedBeams",
@@ -33,6 +34,8 @@ __all__ = [
 
 # Codeword-subset search is exhaustive up to this many candidates, else greedy.
 MAX_EXHAUSTIVE_CANDIDATES = 1_000_000
+# The policies whose beams :class:`BeamScheduler` designs.
+DESIGNED = ("psa_optimized", "directional_tep")
 
 
 def check_int(name: str, value, lo: int, hi: float = np.inf) -> None:
@@ -98,10 +101,6 @@ class OptimizationResult:
     evaluations: int
 
 
-def _batch_size(n_support: int) -> int:
-    return max(1, kernels.ref.STEP_PAIRS // (n_support * n_support))
-
-
 def _phase_scores(
     phases: np.ndarray, columns: np.ndarray, prior: np.ndarray, snr: float
 ) -> np.ndarray:
@@ -111,7 +110,7 @@ def _phase_scores(
     ``prior`` the matching (S,) probabilities.
     """
     scores = np.empty(len(phases))
-    step = _batch_size(len(prior))
+    step = kernels.ref.step_items(len(prior))
     for lo in range(0, len(phases), step):
         stack = sensing_matrix(phases[lo : lo + step], columns)
         scores[lo : lo + step] = kernels.gamma_ub(prior, stack.gram_abs2, stack.col_norms_sq, snr)
@@ -159,7 +158,7 @@ def select_directional_pair(
     gram = codebook.matrix.conj().T @ codebook.matrix
     # row i = sensing row of codeword i, on the prior's support columns
     rows = np.sqrt(codebook.n_tx) * gram[:, idx]
-    step = _batch_size(len(idx))
+    step = kernels.ref.step_items(len(idx))
 
     def best_of(subsets) -> tuple[tuple[int, ...], float]:
         """First subset with the lowest score, scoring in batches."""
@@ -342,7 +341,7 @@ class BeamScheduler:
     def beams_for_index(self, policy: str, index: int) -> DesignedBeams:
         """``policy``'s design for the canonical row of ``index``, which
         :meth:`serve` rolls by the row's shift to serve ``index``."""
-        if policy not in ("psa_optimized", "directional_tep"):
+        if policy not in DESIGNED:
             raise ValueError(f"unknown design policy {policy!r}")
         key = int(self.model.canonical[index])
         designed = self._designs.get((policy, key))

@@ -281,6 +281,14 @@ class TestSimulate:
         cfg = _write_config(tmp_path, {"bogus_field": 1})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_exit_2_on_unknown_psa_field(self, tmp_path, capsys):
+        # refused by the check that refuses an unknown top-level field
+        cfg = _write_config(tmp_path, {"psa": {"bogus": 1}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: unknown config fields: ['psa.bogus']" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("value", ["abc", "0", "1.5", "CPUS+1"])
     def test_exit_2_on_bad_worker_count(self, tmp_path, capsys, monkeypatch, command, value):
@@ -509,6 +517,30 @@ class TestSweepCommand:
             for line in (out / "summary.csv").read_text().splitlines()[1:]
         ]
         assert keys == ["snr_db=0", "snr_db=10"]
+
+    @pytest.mark.parametrize(
+        "overrides,flag", [({"beta": [0.1, 0.5]}, "beta"), ({"snr_db": [0.0, 10.0]}, "snr")]
+    )
+    def test_param_is_optional(self, tmp_path, overrides, flag):
+        # without --param the swept field comes from the config, and the
+        # outputs are the bytes the run with --param writes
+        cfg = _write_config(tmp_path, {**overrides, "policy": "directional_tep"})
+        checked, bare = tmp_path / "checked", tmp_path / "bare"
+        assert main(["sweep", "--config", cfg, "--param", flag, "--out", str(checked)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(bare)]) == 0
+        names = sorted(p.name for p in checked.glob("*.csv"))
+        assert names == sorted(p.name for p in bare.glob("*.csv")) and len(names) == 3
+        for name in names:
+            assert (bare / name).read_bytes() == (checked / name).read_bytes()
+
+    def test_exit_2_on_param_not_swept(self, tmp_path, capsys, monkeypatch):
+        # --param must name the config's list-valued field
+        cfg = _write_config(tmp_path, {"beta": [0.1, 0.5]})
+        monkeypatch.setattr(harness, "_run_block", _never_called)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--param", "snr", "--out", str(out)]) == 2
+        assert "requested sweep over 'snr_db' but 'beta' is list-valued" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_2_on_scalar_param(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -243,6 +243,66 @@ class TestDirectionalPair:
             select_directional_pair(Belief.uniform(4), cb, 10.0, 5)
 
 
+def _chunks(total, step):
+    """Item counts of the steps that score ``total`` items ``step`` at a time."""
+    return [min(step, total - lo) for lo in range(0, total, step)]
+
+
+class TestStepRule:
+    """Every kernel call that beam design makes scores ``ref.step_items`` of
+    its support's items at a time, the rule that the kernel's logging
+    groups follow, whatever ``ref.STEP_PAIRS`` is."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The stack size of each design kernel call, in call order."""
+        sizes, real = [], kernels.gamma_ub
+
+        def record(prior, gram_abs2, norms_sq, snr):
+            assert np.ndim(prior) == 1 and gram_abs2.shape[-1] == len(prior)
+            sizes.append(len(gram_abs2))
+            return real(prior, gram_abs2, norms_sq, snr)
+
+        monkeypatch.setattr(kernels, "gamma_ub", record)
+        return sizes
+
+    @pytest.mark.parametrize("pairs", [1, 3 * 5 * 5, 7 * 5 * 5 + 4, 1 << 13])
+    def test_design_calls(self, stacks, monkeypatch, pairs):
+        monkeypatch.setattr(ref, "STEP_PAIRS", pairs)
+        cb = build_codebook(build_grid(16), 8)
+        prior = Belief(build_markov(16, 0.5, 2).transition[0])
+        step = ref.step_items(np.count_nonzero(prior.probs))  # 5-point support
+        config = PsaConfig(swarm_size=12, max_iters=3, seed=0)
+        indices, _ = select_directional_pair(prior, cb, 10.0, 2)
+        assert stacks == _chunks(comb(16, 2), step)
+        stacks.clear()
+        result = optimize_beams(prior, cb, 10.0, 2, config, indices)
+        assert stacks == _chunks(12, step) * (result.evaluations // 12)
+
+    def test_one_source(self, stacks, monkeypatch):
+        # the swarm and the search read the rule from the kernel alone
+        monkeypatch.setattr(ref, "step_items", lambda n_support: 5)
+        cb = build_codebook(build_grid(16), 8)
+        prior = Belief(build_markov(16, 0.5, 2).transition[0])
+        indices, _ = select_directional_pair(prior, cb, 10.0, 2)
+        assert stacks == _chunks(comb(16, 2), 5)
+        stacks.clear()
+        optimize_beams(prior, cb, 10.0, 2, PsaConfig(swarm_size=12, max_iters=1), indices)
+        assert stacks == [5, 5, 2] * 2
+
+    @pytest.mark.parametrize("pairs", [1, 3 * 5 * 5, 1 << 13])
+    def test_logging_groups(self, monkeypatch, pairs):
+        # a logged block of one support group is scored in the same steps
+        monkeypatch.setattr(ref, "STEP_PAIRS", pairs)
+        rows, real = [], ref._bounds
+        monkeypatch.setattr(ref, "_bounds", lambda r, c: rows.append(len(r)) or real(r, c))
+        cb = build_codebook(build_grid(16), 8)
+        sensing = sensing_matrix(steering_phases(cb, (0, 3)), cb.matrix)
+        block = np.tile(build_markov(16, 0.5, 2).transition[0], (20, 1))
+        kernels.gamma_ub(block, sensing.gram_abs2, sensing.col_norms_sq, 10.0)
+        assert rows == _chunks(20, ref.step_items(5))
+
+
 class TestScheduler:
     def _scheduler(self, n=8, n_tx=4, edge_mode="wrap"):
         model = build_markov(n, 0.5, 2, edge_mode=edge_mode)
